@@ -1,4 +1,6 @@
-(** SHA-256 (FIPS 180-4), implemented from scratch.
+(** SHA-256 (FIPS 180-4). The compression function is a C kernel: SHA-NI
+    on x86-64 hosts that have it, portable C elsewhere, chosen once at
+    program load. Output is the same on every host.
 
     The paper uses MD5 for message and state digests; we substitute SHA-256
     (see DESIGN.md). Digest cost is charged separately by the network cost

@@ -13,12 +13,13 @@
 
    Seeds come from the same ident tables the syntactic pass uses
    ([Syntactic.classify_ident]), an io/raise overlay for Stdlib, and
-   [external] declarations (C stubs are ⊤; [%...] compiler intrinsics are
-   pure). Effects propagate along *references*, not just saturated call
-   sites: passing [f] to [List.iter] charges [f]'s effects to whoever
-   supplied it, which is what makes calls through function parameters and
-   record fields (the [Service] vtable) sound without widening every
-   higher-order call to ⊤. The remaining gaps — closures smuggled through
+   [external] declarations (C stubs are ⊤ unless audited with
+   [[@@lint.pure "<reason>"]]; [%...] compiler intrinsics are pure).
+   Effects propagate along *references*, not just saturated call sites:
+   passing [f] to [List.iter] charges [f]'s effects to whoever supplied
+   it, which is what makes calls through function parameters and record
+   fields (the [Service] vtable) sound without widening every higher-order
+   call to ⊤. The remaining gaps — closures smuggled through
    top-level mutable state, functor bodies — are documented in DESIGN.md.
 
    Unknown *named* callees (a persistent unit we have no table for and no
@@ -244,9 +245,13 @@ let summarize cg (d : Callgraph.def) =
       let s_seeds, s_edges = scan_body cg ~unit_name:d.Callgraph.d_unit body in
       { s_eff = bot; s_seeds; s_edges }
   | None ->
-      (* [external]: compiler intrinsics are pure; C stubs are opaque, so ⊤. *)
+      (* [external]: compiler intrinsics and audited C stubs are pure; any
+         other C stub is opaque, so ⊤. *)
       let intrinsic = List.for_all (fun p -> String.starts_with ~prefix:"%" p) d.Callgraph.d_prim in
-      if intrinsic then { s_eff = bot; s_seeds = []; s_edges = [] }
+      let audited =
+        match d.Callgraph.d_pure with Some r -> not (String.equal r "") | None -> false
+      in
+      if intrinsic || audited then { s_eff = bot; s_seeds = []; s_edges = [] }
       else
         {
           s_eff = bot;
@@ -376,4 +381,23 @@ let findings (cg : Callgraph.t) summaries =
                  same schedule would diverge (bftlint --why prints the call path)"
                 d.Callgraph.d_disp seed_desc))
       else None)
+    cg.Callgraph.order
+
+(* --- the pure-annotation rule ---------------------------------------- *)
+
+(* An audit with no reason is no audit: the stub stays ⊤ and the
+   attribute itself is reported, so an exemption can never be silent. *)
+let pure_findings (cg : Callgraph.t) =
+  List.filter_map
+    (fun key ->
+      let d = Hashtbl.find cg.Callgraph.defs key in
+      match d.Callgraph.d_pure with
+      | Some "" when not (List.exists (String.equal Rule.pure_annotation) d.Callgraph.d_allows) ->
+          Some
+            (Finding.v ~rule:Rule.pure_annotation ~loc:d.Callgraph.d_loc
+               (Printf.sprintf
+                  "[@@lint.pure] on %s has no reason; say why the stub touches no global \
+                   state, clock, I/O or exception (without one it stays opaque, i.e. top)"
+                  d.Callgraph.d_disp))
+      | _ -> None)
     cg.Callgraph.order

@@ -84,7 +84,7 @@ let load_cmt path =
 let interprocedural units =
   let cg = Callgraph.build units in
   let summaries = Effects.infer cg in
-  Effects.findings cg summaries @ Escape.findings cg summaries
+  Effects.findings cg summaries @ Effects.pure_findings cg @ Escape.findings cg summaries
 
 (* Typecheck a standalone snippet against the initial environment so the
    fixture corpus can exercise the type-aware rules without dune in the

@@ -12,22 +12,38 @@ type ctx = {
   mutable sorted : bool;  (* true inside an argument of List.sort* *)
 }
 
+(* The string literal of an attribute payload, as in [[@lint.allow "s"]]. *)
+let string_payload (a : attribute) =
+  match a.attr_payload with
+  | PStr
+      [
+        {
+          pstr_desc = Pstr_eval ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
+          _;
+        };
+      ] ->
+      Some s
+  | _ -> None
+
 let attr_allows (attrs : attributes) =
   List.concat_map
     (fun a ->
       if String.equal a.attr_name.txt "lint.allow" then
-        match a.attr_payload with
-        | PStr
-            [
-              {
-                pstr_desc =
-                  Pstr_eval ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
-                _;
-              };
-            ] ->
-            List.filter (fun id -> String.length id > 0) (String.split_on_char ' ' s)
-        | _ -> []
+        match string_payload a with
+        | Some s -> List.filter (fun id -> String.length id > 0) (String.split_on_char ' ' s)
+        | None -> []
       else [])
+    attrs
+
+(* [@@lint.pure "<reason>"]: the audit note on a C stub the effect pass
+   may treat as pure. [Some ""] when the attribute has no non-blank
+   string reason. *)
+let attr_pure (attrs : attributes) =
+  List.find_map
+    (fun a ->
+      if String.equal a.attr_name.txt "lint.pure" then
+        Some (String.trim (Option.value (string_payload a) ~default:""))
+      else None)
     attrs
 
 let report ctx ~loc ~rule msg =

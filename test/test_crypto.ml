@@ -66,6 +66,172 @@ let test_sha256_boundary_lengths () =
         (Bft_util.Hex.encode d1) (Bft_util.Hex.encode d2))
     [ 0; 1; 54; 55; 56; 57; 63; 64; 65; 119; 120; 128; 129 ]
 
+(* --- SHA-256: the C compression kernels against the specification --- *)
+
+(* Both kernel implementations, bypassing the load-time dispatch. They are
+   declared here rather than exported from Sha256. *)
+external compress_portable :
+  int array -> string -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "bft_sha256_compress_portable_byte" "bft_sha256_compress_portable"
+[@@noalloc]
+
+external compress_shani : int array -> string -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "bft_sha256_compress_shani_byte" "bft_sha256_compress_shani"
+[@@noalloc]
+
+external shani_supported : unit -> bool = "bft_sha256_shani_supported"
+
+(* FIPS 180-4 section 6.2.2, written for clarity over 32-bit words in ints. *)
+let spec_k =
+  [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1; 0x923f82a4;
+     0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3; 0x72be5d74; 0x80deb1fe;
+     0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786; 0x0fc19dc6; 0x240ca1cc; 0x2de92c6f;
+     0x4a7484aa; 0x5cb0a9dc; 0x76f988da; 0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7;
+     0xc6e00bf3; 0xd5a79147; 0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc;
+     0x53380d13; 0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
+     0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070; 0x19a4c116;
+     0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a; 0x5b9cca4f; 0x682e6ff3;
+     0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208; 0x90befffa; 0xa4506ceb; 0xbef9a3f7;
+     0xc67178f2 |]
+
+let spec_compress h s off n =
+  let m32 x = x land 0xFFFFFFFF in
+  let rotr x r = m32 ((x lsr r) lor (x lsl (32 - r))) in
+  let w = Array.make 64 0 in
+  for b = 0 to n - 1 do
+    for t = 0 to 15 do
+      w.(t) <- m32 (Int32.to_int (String.get_int32_be s (off + (64 * b) + (4 * t))))
+    done;
+    for t = 16 to 63 do
+      let s0 = rotr w.(t - 15) 7 lxor rotr w.(t - 15) 18 lxor (w.(t - 15) lsr 3) in
+      let s1 = rotr w.(t - 2) 17 lxor rotr w.(t - 2) 19 lxor (w.(t - 2) lsr 10) in
+      w.(t) <- m32 (w.(t - 16) + s0 + w.(t - 7) + s1)
+    done;
+    let v = Array.copy h in
+    for t = 0 to 63 do
+      let a = v.(0) and e = v.(4) in
+      let ch = (e land v.(5)) lxor (m32 (lnot e) land v.(6)) in
+      let maj = (a land v.(1)) lxor (a land v.(2)) lxor (v.(1) land v.(2)) in
+      let t1 = v.(7) + (rotr e 6 lxor rotr e 11 lxor rotr e 25) + ch + spec_k.(t) + w.(t) in
+      let t2 = (rotr a 2 lxor rotr a 13 lxor rotr a 22) + maj in
+      Array.blit v 0 v 1 7;
+      v.(4) <- m32 (v.(4) + t1);
+      v.(0) <- m32 (t1 + t2)
+    done;
+    Array.iteri (fun i x -> h.(i) <- m32 (h.(i) + x)) v
+  done
+
+(* Pad and hash [s] with the specification compression. *)
+let spec_sha256 s =
+  let len = String.length s in
+  let padded = Bytes.make ((len + 8) / 64 * 64 + 64) '\x00' in
+  Bytes.blit_string s 0 padded 0 len;
+  Bytes.set padded len '\x80';
+  Bytes.set_int64_be padded (Bytes.length padded - 8) (Int64.of_int (len * 8));
+  let h =
+    [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab;
+       0x5be0cd19 |]
+  in
+  spec_compress h (Bytes.to_string padded) 0 (Bytes.length padded / 64);
+  String.concat "" (Array.to_list (Array.map (Printf.sprintf "%08x") h))
+
+let test_spec_vectors () =
+  Alcotest.(check string) "spec sha256('abc')"
+    "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad" (spec_sha256 "abc");
+  Alcotest.(check string) "spec sha256(448-bit msg)"
+    "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+    (spec_sha256 "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")
+
+(* A random state, a block count of 0..5 and the blocks themselves,
+   preceded by 0..7 junk bytes so the kernel sees a nonzero offset. *)
+let arb_blocks =
+  let open QCheck.Gen in
+  let word32 = map2 (fun hi lo -> (hi lsl 16) lor lo) (int_bound 0xFFFF) (int_bound 0xFFFF) in
+  let gen =
+    array_size (return 8) word32 >>= fun h ->
+    int_bound 5 >>= fun n ->
+    int_bound 7 >>= fun off ->
+    string_size ~gen:char (return (off + (64 * n))) >>= fun s -> return (h, s, off, n)
+  in
+  QCheck.make
+    ~print:(fun (_, s, off, n) -> Printf.sprintf "off=%d n=%d bytes=%d" off n (String.length s))
+    gen
+
+let kernel_prop name kernel =
+  QCheck.Test.make ~name ~count:300 arb_blocks (fun (h, s, off, n) ->
+      let got = Array.copy h and want = Array.copy h in
+      kernel got s off n;
+      spec_compress want s off n;
+      Array.for_all2 Int.equal got want)
+
+let test_kernel_shani () =
+  if shani_supported () then
+    QCheck.Test.check_exn (kernel_prop "sha-ni kernel = spec" compress_shani)
+  else begin
+    print_endline "SHA-NI is not available on this host: skipping the SHA-NI kernel check";
+    Alcotest.skip ()
+  end
+
+(* Every length 0..300 and each 64-byte boundary +-1 up to 64 blocks,
+   through the one-shot, streaming and midstate entry points. *)
+let test_framing_lengths () =
+  let boundaries =
+    List.concat_map (fun k -> [ (64 * k) - 1; 64 * k; (64 * k) + 1 ]) (List.init 64 succ)
+  in
+  let key_block = String.init 64 (fun i -> Char.chr (0x36 lxor i)) in
+  let key_ctx = Sha256.init () in
+  Sha256.feed key_ctx key_block;
+  let mid = Sha256.midstate key_ctx in
+  List.iter
+    (fun len ->
+      let msg = String.init len (fun i -> Char.chr (((i * 131) + len) land 0xFF)) in
+      let want = spec_sha256 msg in
+      let hex = Bft_util.Hex.encode in
+      Alcotest.(check string) (Printf.sprintf "digest len=%d" len) want (hex (Sha256.digest msg));
+      let framed = "pre" ^ msg ^ "post" and split = len / 3 in
+      let ctx = Sha256.init () in
+      Sha256.feed_sub ctx framed 3 split;
+      Sha256.feed_sub ctx framed (3 + split) (len - split);
+      Alcotest.(check string)
+        (Printf.sprintf "feed_sub len=%d" len)
+        want (hex (Sha256.finalize ctx));
+      Alcotest.(check string)
+        (Printf.sprintf "digest_from_midstate len=%d" len)
+        (spec_sha256 (key_block ^ msg))
+        (hex (Sha256.digest_from_midstate mid msg)))
+    (List.init 301 Fun.id @ boundaries)
+
+(* Four domains hash disjoint inputs at once through the one-shot digest
+   and the precomputed-HMAC verify path the Vpool workers run; every byte
+   must match the sequential run (per-domain scratch, noalloc stub). *)
+let test_concurrent_hashing () =
+  let inputs =
+    List.init 4 (fun d ->
+        let pre = Hmac.precompute ~key:(Printf.sprintf "domain-key-%d" d) in
+        let msgs = List.init 150 (fun i -> String.make ((i * 37) mod 1500) (Char.chr (d + i))) in
+        (pre, msgs, List.map (Hmac.mac_truncated_precomputed pre 8) msgs))
+  in
+  let work (pre, msgs, tags) () =
+    List.concat
+      (List.init 20 (fun _ ->
+           List.map2
+             (fun m tag ->
+               let ok = Hmac.verify_precomputed pre ~tag m in
+               let bad = Hmac.verify_precomputed pre ~tag:(String.make 8 '\x00') m in
+               Printf.sprintf "%s/%b/%b" (Sha256.digest m) ok bad)
+             msgs tags))
+  in
+  let sequential = List.map (fun w -> work w ()) inputs in
+  let spawn = (Domain.spawn [@lint.allow "domain-containment"]) in
+  let join = (Domain.join [@lint.allow "domain-containment"]) in
+  let parallel = List.map join (List.map (fun w -> spawn (work w)) inputs) in
+  List.iteri
+    (fun d (s, p) ->
+      Alcotest.(check (list string)) (Printf.sprintf "domain %d" d) s p;
+      Alcotest.(check bool) "verify accepted every tag" true
+        (List.for_all (fun r -> String.ends_with ~suffix:"/true/false" r) s))
+    (List.combine sequential parallel)
+
 (* --- HMAC-SHA256: RFC 4231 vectors --- *)
 
 let test_hmac_rfc4231_case1 () =
@@ -322,6 +488,14 @@ let suites =
         Alcotest.test_case "million a" `Slow test_sha256_million_a;
         Alcotest.test_case "incremental" `Quick test_sha256_incremental_matches_oneshot;
         Alcotest.test_case "boundary lengths" `Quick test_sha256_boundary_lengths;
+      ] );
+    ( "crypto.sha256_kernel",
+      [
+        Alcotest.test_case "spec vectors" `Quick test_spec_vectors;
+        QCheck_alcotest.to_alcotest (kernel_prop "portable kernel = spec" compress_portable);
+        Alcotest.test_case "sha-ni kernel = spec" `Quick test_kernel_shani;
+        Alcotest.test_case "framing lengths" `Quick test_framing_lengths;
+        Alcotest.test_case "4 domains concurrent" `Quick test_concurrent_hashing;
       ] );
     ( "crypto.hmac",
       [

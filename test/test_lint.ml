@@ -65,6 +65,15 @@ let corpus =
     (* the [ok] scratch-buffer case in the same file must stay silent *)
     ("bad_pool_escape.ml", true, [ (Rule.pool_escape, 10) ]);
     ("bad_mutable_global.ml", true, [ (Rule.mutable_global, 10) ]);
+    (* an unannotated C stub is top; an audited one is pure; an empty
+       audit reason is an error and does not exempt the stub *)
+    ( "bad_pure_external.ml",
+      true,
+      [
+        (Rule.pure_annotation, 10);
+        (Rule.transitive_nondet, 12);
+        (Rule.transitive_nondet, 14);
+      ] );
   ]
 
 let test_fixture (name, needs_typed, expected) () =
