@@ -7,7 +7,11 @@
     questions the protocol asks: is the batch {e prepared} (pre-prepare +
     2f matching prepares from distinct backups), is it {e committed} (2f+1
     matching commits)? Garbage collection truncates everything at or below
-    a new stable checkpoint. *)
+    a new stable checkpoint.
+
+    The log is a ring of [log_size] slots indexed by [seq mod log_size],
+    and each entry keeps one prepare and one commit slot per replica, so
+    every operation costs O(1), O(n) or O(L), never more. *)
 
 type digest = string
 
@@ -18,8 +22,10 @@ type entry = {
   mutable pp_view : int;  (** view of the accepted pre-prepare *)
   mutable self_preprepared : bool;
       (** this replica sent the pre-prepare or a prepare for it *)
-  prepares : (int, int * digest) Hashtbl.t;  (** backup -> (view, digest) *)
-  commits : (int, int * digest) Hashtbl.t;  (** replica -> (view, digest) *)
+  prepares : (int * digest) option array;
+      (** indexed by backup id: its (view, digest), length n *)
+  commits : (int * digest) option array;
+      (** indexed by replica id: its (view, digest), length n *)
   mutable executed : bool;
   mutable exec_tentative : bool;  (** executed tentatively, not yet committed *)
 }
@@ -44,7 +50,12 @@ val accept_pre_prepare : t -> view:int -> Message.pre_prepare -> digest -> bool
     different digest was already accepted for this view and sequence. *)
 
 val add_prepare : t -> Message.prepare -> unit
+(** Record a prepare, replacing the sender's earlier one for that sequence
+    number. A prepare outside the water marks, or from a replica id outside
+    0..n-1, is ignored and creates no entry. *)
+
 val add_commit : t -> Message.commit -> unit
+(** As {!add_prepare}, for commits. *)
 
 val prepared : t -> view:int -> seq:int -> bool
 (** Prepared certificate in the given view (Section 2.3.3). *)
@@ -60,8 +71,20 @@ val truncate : t -> int -> unit
 (** [truncate t n]: new low water mark [n]; drop entries [<= n]. *)
 
 val iter_window : t -> (entry -> unit) -> unit
-(** Iterate existing entries in increasing sequence order. *)
+(** Iterate existing entries in increasing sequence order. [f] must not
+    add, truncate or clear entries. *)
 
 val clear_entries : t -> unit
 (** Drop every entry but keep the low water mark (used when a view-change
     message is sent: the paper's "clears its log"). *)
+
+(** What a peer's status message claims about one sequence number. *)
+type claim = Unclaimed | Claimed_prepared | Claimed_committed
+
+val claims :
+  lo:int -> size:int -> prepared:int list -> committed:int list -> int -> claim
+(** [claims ~lo ~size ~prepared ~committed] marks the claim lists once in a
+    table over [lo+1 .. lo+size] and returns the lookup: [Claimed_committed]
+    if [n] is in [committed], else [Claimed_prepared] if it is in
+    [prepared], else [Unclaimed]. Claimed values outside the range are
+    ignored, and the lookup answers [Unclaimed] outside it. *)

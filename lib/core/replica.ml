@@ -2,6 +2,7 @@ module Engine = Bft_sim.Engine
 module Network = Bft_net.Network
 module Costs = Bft_net.Costs
 module Obs = Bft_obs.Obs
+module Int_map = Map.Make (Int)
 open Message
 
 let src = Logs.Src.create "bft.replica" ~doc:"BFT replica"
@@ -114,10 +115,9 @@ type t = {
   (* digests assigned to a batch but not yet executed: retransmissions of
      an in-flight request must not be assigned a second sequence number *)
   assigned : (string, unit) Hashtbl.t;
-  last_reply : (int, int64 * string * int) Hashtbl.t; (* client -> t, result, view *)
-  (* client ids present in [last_reply], kept sorted ascending so snapshot
-     encoding streams the cache without a per-checkpoint sort *)
-  mutable reply_clients : int list;
+  (* client -> t, result, view; ordered, so snapshot encoding streams the
+     cache in ascending client order without a sort *)
+  mutable last_reply : (int64 * string * int) Int_map.t;
   (* sequence number of the tree in [ckpts] that the paged service's dirty
      set is relative to; [None] (or a mismatch with the latest tree) forces
      the next paged checkpoint to byte-compare every page *)
@@ -206,6 +206,10 @@ let weak t = Config.weak t.d.cfg
 let replica_ids t = Config.replica_ids t.d.cfg
 let charge t us = Network.charge t.d.net ~id:t.id us
 let now t = Engine.now t.engine
+
+(* A replica timer, labelled "<name><id>" for the explorer. *)
+let timer t name delay_us f =
+  Engine.schedule t.engine ~label:(Engine.Node (name, t.id)) ~delay:(Engine.of_us_float delay_us) f
 
 (* ------------------------------------------------------------------ *)
 (* Authentication                                                      *)
@@ -375,36 +379,26 @@ let verify_token t ~claimed body token =
    snapshot val, last-rep and last-rep-t together, Section 2.4.4).       *)
 (* ------------------------------------------------------------------ *)
 
-(* Record the reply for a client, keeping [reply_clients] sorted. *)
-let set_last_reply t client entry =
-  if not (Hashtbl.mem t.last_reply client) then begin
-    let rec ins = function
-      | c :: tl when c < client -> c :: ins tl
-      | l -> client :: l
-    in
-    t.reply_clients <- ins t.reply_clients
-  end;
-  Hashtbl.replace t.last_reply client entry
+(* Timestamp of the last request executed for [client], -1 if none. *)
+let last_reply_ts t client =
+  match Int_map.find_opt client t.last_reply with Some (ts, _, _) -> ts | None -> -1L
 
 (* Stream the reply cache into [b] in ascending client order: one
    "client ts view len\nresult" record per client, written directly
    (no per-entry [Printf.sprintf], no per-checkpoint sort). *)
 let encode_reply_cache t b =
-  List.iter
-    (fun c ->
-      match Hashtbl.find_opt t.last_reply c with
-      | None -> ()
-      | Some (ts, res, v) ->
-          Buffer.add_string b (string_of_int c);
-          Buffer.add_char b ' ';
-          Buffer.add_string b (Int64.to_string ts);
-          Buffer.add_char b ' ';
-          Buffer.add_string b (string_of_int v);
-          Buffer.add_char b ' ';
-          Buffer.add_string b (string_of_int (String.length res));
-          Buffer.add_char b '\n';
-          Buffer.add_string b res)
-    t.reply_clients
+  Int_map.iter
+    (fun c (ts, res, v) ->
+      Buffer.add_string b (string_of_int c);
+      Buffer.add_char b ' ';
+      Buffer.add_string b (Int64.to_string ts);
+      Buffer.add_char b ' ';
+      Buffer.add_string b (string_of_int v);
+      Buffer.add_char b ' ';
+      Buffer.add_string b (string_of_int (String.length res));
+      Buffer.add_char b '\n';
+      Buffer.add_string b res)
+    t.last_reply
 
 let full_snapshot t =
   let b = Buffer.create 256 in
@@ -502,9 +496,8 @@ let restore_snapshot t s =
       | Ok entries -> (
           match t.d.service.Bft_sm.Service.restore svc with
           | () ->
-              Hashtbl.reset t.last_reply;
-              List.iter (fun (c, e) -> Hashtbl.replace t.last_reply c e) entries;
-              t.reply_clients <- List.sort_uniq compare (List.map fst entries);
+              t.last_reply <-
+                List.fold_left (fun m (c, e) -> Int_map.add c e m) Int_map.empty entries;
               t.paged_sync <- None;
               Ok ()
           | exception _ -> reject "service refused snapshot"))
@@ -604,10 +597,7 @@ let start_vc_timer t =
   if Option.is_none t.vc_timer && not t.d.cfg.Config.debug_no_vc_timer then
     t.vc_timer <-
       Some
-        (Engine.schedule t.engine
-           ~label:(Printf.sprintf "vc%d" t.id)
-           ~delay:(Engine.of_us_float t.vc_timeout_us)
-           (fun () ->
+        (timer t "vc" t.vc_timeout_us (fun () ->
              t.vc_timer <- None;
              if t.active then begin
                relay_waiting t;
@@ -656,10 +646,7 @@ let perf_note_sample t arrival =
               t.id t.view t.perf_ewma_us t.perf_baseline_us);
         let v = t.view in
         ignore
-          (Engine.schedule t.engine
-             ~label:(Printf.sprintf "perfvc%d" t.id)
-             ~delay:0L
-             (fun () ->
+          (timer t "perfvc" 0.0 (fun () ->
                if t.active && t.view = v then !start_view_change_ref t (v + 1)))
       end
   end
@@ -839,11 +826,7 @@ let execute_batch t n ~tentative =
           | None -> () (* cannot happen: execution gated on have_batch_bodies *)
           | Some req ->
               Hashtbl.remove t.assigned (Wire.request_digest req);
-              let last_t =
-                match Hashtbl.find_opt t.last_reply req.client with
-                | Some (ts, _, _) -> ts
-                | None -> -1L
-              in
+              let last_t = last_reply_ts t req.client in
               if Int64.compare req.timestamp last_t > 0 then begin
                 let result =
                   if String.length req.op >= 9 && String.equal (String.sub req.op 0 9) "\x00RECOVERY"
@@ -880,7 +863,7 @@ let execute_batch t n ~tentative =
                 t.counters.n_executed <- t.counters.n_executed + 1;
                 t.history <- (n, req.client, req.op, result) :: t.history;
                 wave := (req.client, req.op, result) :: !wave;
-                set_last_reply t req.client (req.timestamp, result, t.view);
+                t.last_reply <- Int_map.add req.client (req.timestamp, result, t.view) t.last_reply;
                 clear_waiting t (Wire.request_digest req);
                 purge_superseded t ~client:req.client ~ts:req.timestamp;
                 (* reply: full result from the designated replier or for small
@@ -915,7 +898,7 @@ let execute_batch t n ~tentative =
                    longer waiting for this request *)
                 clear_waiting t (Wire.request_digest req);
                 if Int64.compare req.timestamp last_t = 0 then
-                match Hashtbl.find_opt t.last_reply req.client with
+                match Int_map.find_opt req.client t.last_reply with
                 | Some (ts, result, _) ->
                     send_to t ~dst:req.client
                       (Reply
@@ -1190,8 +1173,9 @@ let () = process_queue_ref := process_queue
    number of distinct requests a client currently has in the ordering
    pipeline at this replica — queued, assigned to a batch, or awaited
    from the primary. Computed from the live tables rather than a shadow
-   counter so it can never leak and permanently starve a client; the
-   tables are quota-bounded per client, so the scan stays small. *)
+   counter so it can never leak and permanently starve a client. The
+   quota bounds each client's share, not the tables: the scan walks every
+   client's in-flight digests, O(pipeline depth) per admitted request. *)
 let client_inflight t client =
   let seen = Hashtbl.create 16 in
   let note d =
@@ -1209,13 +1193,11 @@ let client_inflight t client =
 let handle_request t (req : request) token ~verified ~relayed =
   let d = Wire.request_digest req in
   charge t (Costs.digest_us t.costs (Wire.size (Request req)));
-  let last_t =
-    match Hashtbl.find_opt t.last_reply req.client with Some (ts, _, _) -> ts | None -> -1L
-  in
+  let last_t = last_reply_ts t req.client in
   if Int64.compare req.timestamp last_t < 0 then ()
   else if Int64.compare req.timestamp last_t = 0 then begin
     (* already executed: retransmit cached reply *)
-    match Hashtbl.find_opt t.last_reply req.client with
+    match Int_map.find_opt req.client t.last_reply with
     | Some (ts, result, _) ->
         send_to t ~dst:req.client
           (Reply
@@ -1283,8 +1265,8 @@ let handle_request t (req : request) token ~verified ~relayed =
 let batch_vouched t batch_digest =
   let count = ref 0 in
   Log.iter_window t.log (fun e ->
-      Hashtbl.iter
-        (fun _ (_, d') -> if String.equal d' batch_digest then incr count)
+      Array.iter
+        (function Some (_, d') when String.equal d' batch_digest -> incr count | _ -> ())
         e.Log.prepares);
   !count >= t.d.cfg.Config.f
 
@@ -1374,7 +1356,7 @@ let check_prepared_to_commit t ~seq =
       let d = Option.get e.Log.pp_digest in
       if
         Log.prepared t.log ~view:t.view ~seq
-        && not (Hashtbl.mem e.Log.commits t.id)
+        && Option.is_none e.Log.commits.(t.id)
       then begin
         if Obs.enabled t.obs then
           Obs.phase t.obs ~now:(now t) Obs.Prepared ~view:t.view ~seq;
@@ -1431,12 +1413,7 @@ let accept_pre_prepare t (pp : pre_prepare) =
             (fun e ->
               match resolve_elem t e with
               | Some r ->
-                  let last =
-                    match Hashtbl.find_opt t.last_reply r.client with
-                    | Some (ts, _, _) -> ts
-                    | None -> -1L
-                  in
-                  if Int64.compare r.timestamp last > 0 then
+                  if Int64.compare r.timestamp (last_reply_ts t r.client) > 0 then
                     note_waiting t (Wire.request_digest r)
               | None -> ())
             pp.pp_batch;
@@ -1579,10 +1556,7 @@ let start_view_change t new_view =
     t.vc_timeout_us <- t.vc_timeout_us *. 2.0;
     t.vc_timer <-
       Some
-        (Engine.schedule t.engine
-           ~label:(Printf.sprintf "vc%d" t.id)
-           ~delay:(Engine.of_us_float t.vc_timeout_us)
-           (fun () ->
+        (timer t "vc" t.vc_timeout_us (fun () ->
              t.vc_timer <- None;
              if not t.active then !start_view_change_ref t (t.view + 1)));
     !try_new_view_ref t
@@ -1744,12 +1718,7 @@ let rec transfer_retry t =
       tx.tx_replier <- pick_replier t;
       Hashtbl.iter (fun (level, index) () -> send_fetch t ~level ~index)
         (Hashtbl.copy tx.tx_pending);
-      tx.tx_timer <-
-        Some
-          (Engine.schedule t.engine
-             ~label:(Printf.sprintf "tx%d" t.id)
-             ~delay:(Engine.of_us_float 30_000.0) (fun () ->
-               transfer_retry t))
+      tx.tx_timer <- Some (timer t "tx" 30_000.0 (fun () -> transfer_retry t))
 
 let start_transfer t ~target ~root_digest =
   match t.transfer with
@@ -1778,12 +1747,7 @@ let start_transfer t ~target ~root_digest =
       Hashtbl.replace tx.tx_expected (0, 0) (target, root_digest);
       t.transfer <- Some tx;
       send_fetch t ~level:0 ~index:0;
-      tx.tx_timer <-
-        Some
-          (Engine.schedule t.engine
-             ~label:(Printf.sprintf "tx%d" t.id)
-             ~delay:(Engine.of_us_float 30_000.0) (fun () ->
-               transfer_retry t))
+      tx.tx_timer <- Some (timer t "tx" 30_000.0 (fun () -> transfer_retry t))
 
 let local_tree t = Checkpoint_store.latest t.ckpts
 
@@ -2284,25 +2248,29 @@ let handle_status_active t (s : status_active) =
     end
     else if s.sa_view = t.view && t.active then begin
       (* retransmit our own protocol messages the peer is missing *)
+      let claim =
+        Log.claims ~lo:(Log.low_mark t.log) ~size:t.d.cfg.Config.log_size
+          ~prepared:s.sa_prepared ~committed:s.sa_committed
+      in
       Log.iter_window t.log (fun e ->
           let n = e.Log.seq in
           if n > s.sa_h then begin
             match e.Log.pp_digest with
             | Some _ ->
-                let peer_prepared = List.mem n s.sa_prepared || List.mem n s.sa_committed in
-                if not peer_prepared then begin
+                let claimed = claim n in
+                if claimed = Log.Unclaimed then begin
                   (match e.Log.pp with
                   | Some pp when primary_of t e.Log.pp_view = t.id && e.Log.pp_view = t.view ->
                       send_retx t ~dst:r (Pre_prepare pp)
                   | _ -> ());
-                  match Hashtbl.find_opt e.Log.prepares t.id with
+                  match e.Log.prepares.(t.id) with
                   | Some (v, d') when v = t.view ->
                       send_retx t ~dst:r
                         (Prepare { pr_view = v; pr_seq = n; pr_digest = d'; pr_replica = t.id })
                   | _ -> ()
                 end;
-                if not (List.mem n s.sa_committed) then begin
-                  match Hashtbl.find_opt e.Log.commits t.id with
+                if claimed <> Log.Claimed_committed then begin
+                  match e.Log.commits.(t.id) with
                   | Some (v, d') ->
                       send_retx t ~dst:r
                         (Commit { cm_view = v; cm_seq = n; cm_digest = d'; cm_replica = t.id })
@@ -2392,12 +2360,8 @@ let send_new_key ?(drop_clients = false) t =
   if drop_clients then begin
     (* re-key every client we have served: each gets a fresh key to reach
        us, in a signed point-to-point new-key message *)
-    let clients =
-      Hashtbl.fold (fun c _ acc -> if c >= t.d.cfg.Config.n then c :: acc else acc) t.last_reply []
-      |> List.sort_uniq compare
-    in
-    List.iter
-      (fun client ->
+    Seq.iter
+      (fun (client, _) ->
         t.coproc_counter <- Int64.add t.coproc_counter 1L;
         let key = Bft_crypto.Keychain.fresh_in_key t.d.keychain t.rng ~peer:client in
         let body =
@@ -2409,7 +2373,7 @@ let send_new_key ?(drop_clients = false) t =
           let env = { sender = t.id; body; auth; enc } in
           Network.send t.d.net ~src:t.id ~dst:client ~size:(Wire.envelope_size env) env
         end)
-      clients
+      (Int_map.to_seq_from t.d.cfg.Config.n t.last_reply)
   end
 
 let handle_new_key t (nk : new_key) =
@@ -2504,11 +2468,7 @@ let rec recovery_tick t =
               | _ -> ())
           | None -> ())
       | `Fetching -> !recovery_step_ref t);
-      ignore
-        (Engine.schedule t.engine
-           ~label:(Printf.sprintf "rec%d" t.id)
-           ~delay:(Engine.of_us_float 50_000.0) (fun () ->
-             recovery_tick t))
+      ignore (timer t "rec" 50_000.0 (fun () -> recovery_tick t))
 
 let handle_reply_stable t (r : reply_stable) =
   match t.recovering with
@@ -2595,11 +2555,7 @@ let begin_recovery t =
           rc_replies = Hashtbl.create 8;
         };
     broadcast t (Query_stable { qs_replica = t.id; qs_nonce = nonce });
-    ignore
-      (Engine.schedule t.engine
-         ~label:(Printf.sprintf "rec%d" t.id)
-         ~delay:(Engine.of_us_float 50_000.0) (fun () ->
-           recovery_tick t))
+    ignore (timer t "rec" 50_000.0 (fun () -> recovery_tick t))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -2748,8 +2704,7 @@ let create ?(obs = Obs.null) d ~id =
       batch_target = 1;
       queued = Hashtbl.create 16;
       assigned = Hashtbl.create 16;
-      last_reply = Hashtbl.create 16;
-      reply_clients = [];
+      last_reply = Int_map.empty;
       paged_sync = None;
       deferred_pps = [];
       pending_ro = [];
@@ -2796,29 +2751,21 @@ let create ?(obs = Obs.null) d ~id =
 let rec schedule_status t =
   t.status_timer <-
     Some
-      (Engine.schedule t.engine
-         ~label:(Printf.sprintf "status%d" t.id)
-         ~delay:(Engine.of_us_float t.d.cfg.Config.status_interval_us)
-         (fun () ->
+      (timer t "status" t.d.cfg.Config.status_interval_us (fun () ->
            send_status t;
            schedule_status t))
 
 let rec schedule_watchdog t delay_us =
   t.watchdog_timer <-
     Some
-      (Engine.schedule t.engine
-         ~label:(Printf.sprintf "wd%d" t.id)
-         ~delay:(Engine.of_us_float delay_us) (fun () ->
+      (timer t "wd" delay_us (fun () ->
            begin_recovery t;
            schedule_watchdog t t.d.cfg.Config.watchdog_period_us))
 
 let rec schedule_key_refresh t =
   t.key_timer <-
     Some
-      (Engine.schedule t.engine
-         ~label:(Printf.sprintf "key%d" t.id)
-         ~delay:(Engine.of_us_float t.d.cfg.Config.key_refresh_us)
-         (fun () ->
+      (timer t "key" t.d.cfg.Config.key_refresh_us (fun () ->
            send_new_key t;
            schedule_key_refresh t))
 
@@ -2944,18 +2891,12 @@ let state_digest t =
       add "L%d pv=%d self=%b ex=%b tent=%b d=%s(" e.Log.seq e.Log.pp_view
         e.Log.self_preprepared e.Log.executed e.Log.exec_tentative
         (match e.Log.pp_digest with Some d -> hexd d | None -> "-");
-      List.iter
-        (fun k ->
-          match Hashtbl.find_opt e.Log.prepares k with
-          | Some (v, d) -> add "p%d:%d:%s;" k v (hexd d)
-          | None -> ())
-        (sorted_int_keys e.Log.prepares);
-      List.iter
-        (fun k ->
-          match Hashtbl.find_opt e.Log.commits k with
-          | Some (v, d) -> add "c%d:%d:%s;" k v (hexd d)
-          | None -> ())
-        (sorted_int_keys e.Log.commits);
+      Array.iteri
+        (fun k -> function Some (v, d) -> add "p%d:%d:%s;" k v (hexd d) | None -> ())
+        e.Log.prepares;
+      Array.iteri
+        (fun k -> function Some (v, d) -> add "c%d:%d:%s;" k v (hexd d) | None -> ())
+        e.Log.commits;
       add ")");
   add "|ck:";
   List.iter (fun (s, d) -> add "%d:%s;" s (hexd d)) (checkpoints_held t);

@@ -151,39 +151,26 @@ let process t ~dst n ~size msg =
   t.stat.delivered <- t.stat.delivered + 1;
   match n.range_handler with Some h -> h dst msg | None -> n.handler msg
 
-let rec drain t ~dst =
+(* Drain [dst]'s backlog once its CPU is free: at [busy_until], which the
+   engine clamps to the present when the CPU is already idle. *)
+let rec schedule_drain t ~dst n =
+  ignore
+    (Engine.schedule_at t.engine ~label:(Engine.Node ("drain", dst)) n.busy_until (fun () ->
+         drain t ~dst))
+
+and drain t ~dst =
   let n = node t dst in
   if n.crashed then begin
     Queue.clear n.backlog;
     n.draining <- false
   end
-  else begin
-    let now = Engine.now t.engine in
-    if Int64.compare n.busy_until now > 0 then
-      ignore
-        (Engine.schedule_at t.engine
-           ~label:(Printf.sprintf "drain%d" dst)
-           n.busy_until
-           (fun () -> drain t ~dst))
-    else
-      match Queue.take_opt n.backlog with
-      | None -> n.draining <- false
-      | Some (size, msg) ->
-          process t ~dst n ~size msg;
-          if Queue.is_empty n.backlog then n.draining <- false
-          else if Int64.compare n.busy_until now > 0 then
-            ignore
-              (Engine.schedule_at t.engine
-                 ~label:(Printf.sprintf "drain%d" dst)
-                 n.busy_until
-                 (fun () -> drain t ~dst))
-          else
-            ignore
-              (Engine.schedule_at t.engine
-                 ~label:(Printf.sprintf "drain%d" dst)
-                 now
-                 (fun () -> drain t ~dst))
-  end
+  else if Int64.compare n.busy_until (Engine.now t.engine) > 0 then schedule_drain t ~dst n
+  else
+    match Queue.take_opt n.backlog with
+    | None -> n.draining <- false
+    | Some (size, msg) ->
+        process t ~dst n ~size msg;
+        if Queue.is_empty n.backlog then n.draining <- false else schedule_drain t ~dst n
 
 let deliver t ~dst ~size msg =
   let n = node t dst in
@@ -195,11 +182,7 @@ let deliver t ~dst ~size msg =
       if depth > n.backlog_hwm then n.backlog_hwm <- depth;
       if not n.draining then begin
         n.draining <- true;
-        ignore
-          (Engine.schedule_at t.engine
-             ~label:(Printf.sprintf "drain%d" dst)
-             n.busy_until
-             (fun () -> drain t ~dst))
+        schedule_drain t ~dst n
       end
     end
     else process t ~dst n ~size msg
@@ -235,7 +218,7 @@ let transmit t ~src ~dst ~size ~depart msg =
           else
             ignore
               (Engine.schedule_at t.engine
-                 ~label:(Printf.sprintf "wire%d>%d" src dst)
+                 ~label:(Engine.Link ("wire", src, dst))
                  arrival
                  (fun () -> deliver t ~dst ~size msg));
           if Bft_util.Rng.bernoulli t.rng t.dup_rate then begin
@@ -246,7 +229,7 @@ let transmit t ~src ~dst ~size ~depart msg =
             else
               ignore
                 (Engine.schedule_at t.engine
-                   ~label:(Printf.sprintf "wire%d>%d" src dst)
+                   ~label:(Engine.Link ("wire", src, dst))
                    arrival2
                    (fun () -> deliver t ~dst ~size msg))
           end
@@ -284,7 +267,7 @@ let multicast t ~src ~dsts ~size msg =
           (* loopback: no wire, deliver as soon as the CPU is free *)
           ignore
             (Engine.schedule_at t.engine
-               ~label:(Printf.sprintf "loop%d" dst)
+               ~label:(Engine.Node ("loop", dst))
                depart
                (fun () -> deliver t ~dst ~size msg))
         else transmit t ~src ~dst ~size ~depart msg)

@@ -1,4 +1,5 @@
 type time = int64
+type label = Fixed of string | Node of string * int | Link of string * int * int
 
 (* The heap below is the simulator's hottest loop (PR 2, lifted again in
    PR 9): every index is kept in bounds by the size counter, so the
@@ -39,7 +40,7 @@ type t = {
   mutable at_a : int array;
   mutable seq_a : int array;
   mutable handle_a : handle array;
-  mutable label_a : string option array;
+  mutable label_a : label option array;
   mutable thunk_a : (unit -> unit) array;
   mutable size : int;
   mutable seq : int;
@@ -255,10 +256,16 @@ let step t =
 let events_fired t = t.fired
 let max_heap_size t = t.max_size
 
+let label_string = function
+  | Fixed s -> s
+  | Node (s, i) -> s ^ string_of_int i
+  | Link (s, src, dst) -> s ^ string_of_int src ^ ">" ^ string_of_int dst
+
 (* Live-event introspection for the explorer: an O(size) scan of the heap
    arrays (slots [0, size) hold the queue in heap order, not sorted
    order), skipping lazily-cancelled entries. Builds one list per call —
-   for the explorer's step loop, not the simulation hot path. *)
+   for the explorer's step loop, not the simulation hot path — and is the
+   only place a label becomes a string. *)
 let live_events t =
   let acc = ref [] in
   for i = t.size - 1 downto 0 do
@@ -271,7 +278,7 @@ let live_events t =
     (fun (a, sa, _) (b, sb, _) ->
       match Int.compare a b with 0 -> Int.compare sa sb | c -> c)
     !acc
-  |> List.map (fun (at, _, label) -> (Int64.of_int at, label))
+  |> List.map (fun (at, _, label) -> (Int64.of_int at, Option.map label_string label))
 
 (* Sentinel scan: a plain int minimum over the live slots, allocating only
    the final [Some] — nothing per candidate (the old option-accumulating

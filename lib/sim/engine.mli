@@ -27,12 +27,18 @@ val now : t -> time
 val rng : t -> Bft_util.Rng.t
 (** The engine's root RNG; derive sub-streams with {!Bft_util.Rng.split}. *)
 
-val schedule : ?label:string -> t -> delay:time -> (unit -> unit) -> handle
+(** What an event is, for {!live_events}: a fixed name, a name and a node
+    id ([Node ("vc", 2)] reads ["vc2"]), or a name and a link
+    ([Link ("wire", 0, 1)] reads ["wire0>1"]). The parts are kept apart so
+    scheduling formats nothing; only {!live_events} builds the string. *)
+type label = Fixed of string | Node of string * int | Link of string * int * int
+
+val schedule : ?label:label -> t -> delay:time -> (unit -> unit) -> handle
 (** Run the thunk [delay] nanoseconds from now. [delay < 0] is an error.
     [label] tags the event for {!live_events}; it has no effect on
     execution. *)
 
-val schedule_at : ?label:string -> t -> time -> (unit -> unit) -> handle
+val schedule_at : ?label:label -> t -> time -> (unit -> unit) -> handle
 (** Run the thunk at an absolute time (clamped to [now]). *)
 
 val cancel : handle -> unit
@@ -55,7 +61,8 @@ val max_heap_size : t -> int
 
 val live_events : t -> (time * string option) list
 (** The enabled-event set: every live (pending) event as
-    [(fire time, label)], sorted by (time, scheduling order). Cancelled
+    [(fire time, label)], sorted by (time, scheduling order), with each
+    label rendered as a string. Cancelled
     events awaiting lazy removal are excluded. O(heap size) — intended for
     the exhaustive explorer's step loop, not the simulation hot path. *)
 

@@ -1,5 +1,6 @@
 (* Incremental checkpointing: the paged record arena, dirty-aware services,
-   hardened replica snapshot restore, and paged end-to-end clusters. *)
+   hardened replica snapshot restore, the ordered reply cache, and paged
+   end-to-end clusters. *)
 
 open Bft_core
 module Img = Bft_sm.Paged_image
@@ -249,6 +250,93 @@ let test_replica_restore_malformed () =
   | Error e -> Alcotest.failf "good snapshot rejected: %s" e);
   Alcotest.(check string) "roundtrip" good (Replica.full_snapshot r)
 
+(* --- reply cache: ascending client order, whatever the insertion order --- *)
+
+let max_client = 1_000_000
+
+(* A replica whose network answers every id up to [max_client], so any
+   client id in its reply cache is a valid destination. *)
+let reply_cache_replica () =
+  let cfg, c = make ~service:(fun () -> Bft_sm.Kv_service.create ()) () in
+  ignore (Cluster.invoke_sync c ~client:0 "put k v");
+  let first = cfg.Config.n + Cluster.num_clients c in
+  Bft_net.Network.add_node_range (Cluster.network c) ~first ~last:max_client
+    ~handler:(fun _ _ -> ());
+  (cfg, c, Cluster.replica c 1)
+
+let reply_record (client, ts, view, res) =
+  Printf.sprintf "%d %Ld %d %d\n%s" client ts view (String.length res) res
+
+(* a flat snapshot of [r]'s service with the given reply records, in order *)
+let snapshot_with r records =
+  let svc = Replica.service_state r in
+  String.concat ""
+    (Printf.sprintf "%d\n%s" (String.length svc) svc :: List.map reply_record records)
+
+(* the cache the records describe: one entry per client, the last wins *)
+let canonical records =
+  let last = Hashtbl.create 64 in
+  List.iter (fun ((c, _, _, _) as r) -> Hashtbl.replace last c r) records;
+  List.sort (fun (a, _, _, _) (b, _, _, _) -> Int.compare a b)
+    (Hashtbl.fold (fun _ r acc -> r :: acc) last [])
+
+let gen_records =
+  let open QCheck.Gen in
+  list_size (int_range 0 300)
+    (map
+       (fun (c, ts, v, res) -> (c, Int64.of_int ts, v, res))
+       (quad (int_range 0 max_client) (int_range 1 1000) (int_range 0 5)
+          (string_size ~gen:printable (int_range 0 12))))
+  >>= fun records ->
+  (* repeat some clients so a later record must replace an earlier one *)
+  list_size (int_range 0 10) (oneofl (if records = [] then [ (7, 1L, 0, "x") ] else records))
+  >>= fun again ->
+  map (fun ts -> records @ List.map (fun (c, _, v, res) -> (c, Int64.of_int ts, v, res)) again)
+    (int_range 1 1000)
+
+let prop_reply_cache_order =
+  let replica = lazy (reply_cache_replica ()) in
+  QCheck.Test.make ~count:40 ~name:"reply cache encodes in ascending client order"
+    (QCheck.make ~print:(fun l -> Printf.sprintf "%d records" (List.length l)) gen_records)
+    (fun records ->
+      let _, _, r = Lazy.force replica in
+      (match Replica.restore_snapshot r (snapshot_with r records) with
+      | Ok () -> ()
+      | Error e -> QCheck.Test.fail_reportf "restore rejected: %s" e);
+      let encoded = Replica.full_snapshot r in
+      let restored =
+        match Replica.restore_snapshot r encoded with
+        | Ok () -> Replica.full_snapshot r
+        | Error e -> QCheck.Test.fail_reportf "re-restore rejected: %s" e
+      in
+      String.equal encoded (snapshot_with r (canonical records)) && String.equal restored encoded)
+
+let test_rekey_ascending () =
+  let cfg, c, r = reply_cache_replica () in
+  let rng = Bft_util.Rng.create 13L in
+  let records =
+    List.init 2000 (fun i ->
+        let client = if i mod 400 = 0 then i / 400 else Bft_util.Rng.int rng (max_client + 1) in
+        (client, Int64.of_int (i + 1), 0, "ok"))
+  in
+  (match Replica.restore_snapshot r (snapshot_with r records) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "restore rejected: %s" e);
+  let rekeyed = ref [] in
+  Bft_net.Network.set_adversary (Cluster.network c) (fun ~src ~dst (env : Message.envelope) ->
+      (match env.body with
+      | Message.New_key { nk_keys = [ (k, _) ]; _ } when src = Replica.id r && k = dst ->
+          rekeyed := dst :: !rekeyed
+      | _ -> ());
+      `Drop);
+  Replica.force_recovery r;
+  let expect =
+    List.filter_map
+      (fun (client, _, _, _) -> if client >= cfg.Config.n then Some client else None)
+      (canonical records)
+  in
+  Alcotest.(check (list int)) "every client re-keyed once, ascending" expect (List.rev !rekeyed)
+
 (* --- paged clusters end-to-end --- *)
 
 let paged_kv () = Bft_sm.Kv_service.create ~paged:256 ()
@@ -326,6 +414,8 @@ let suites =
     ( "core.paged_replica",
       [
         Alcotest.test_case "restore_snapshot rejects malformed" `Quick test_replica_restore_malformed;
+        QCheck_alcotest.to_alcotest prop_reply_cache_order;
+        Alcotest.test_case "re-key clients in ascending order" `Quick test_rekey_ascending;
         Alcotest.test_case "paged checkpoints stabilize" `Quick test_paged_cluster_checkpoints;
         Alcotest.test_case "paged state transfer" `Quick test_paged_cluster_state_transfer;
         Alcotest.test_case "paged view change" `Quick test_paged_cluster_view_change;
