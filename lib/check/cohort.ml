@@ -79,9 +79,6 @@ let op_for ~client_slot ~index = Printf.sprintf "put c%d.%d v%d" client_slot ind
    coexist with real clients (flood slots) without KV-key collisions. *)
 let op_for_derived ~stream ~index = Printf.sprintf "put d%d.%d v%d" stream index index
 
-(* Per-replica reply record, as in [Client]. *)
-type reply_info = { ri_tentative : bool; ri_digest : string; ri_full : string option }
-
 type flight = {
   fl_client : int;
   fl_ts : int64;
@@ -89,7 +86,7 @@ type flight = {
   fl_index : int;
   fl_op : string;
   fl_issued : Engine.time;
-  fl_replies : (int, reply_info) Hashtbl.t;
+  fl_replies : Client.reply_info option array; (* indexed by replica id *)
   mutable fl_timer : Engine.handle option;
   mutable fl_retries : int;
 }
@@ -229,38 +226,14 @@ let rec arm_timer t fl =
              arm_timer t fl
            end))
 
-let try_complete t fl =
-  let groups = Hashtbl.create 4 in
-  Hashtbl.iter
-    (fun _replica ri ->
-      let total, nontent, full =
-        match Hashtbl.find_opt groups ri.ri_digest with
-        | Some (a, b, f) -> (a, b, f)
-        | None -> (0, 0, None)
-      in
-      let full = match (full, ri.ri_full) with Some f, _ -> Some f | None, f -> f in
-      Hashtbl.replace groups ri.ri_digest
-        (total + 1, (if ri.ri_tentative then nontent else nontent + 1), full))
-    fl.fl_replies;
-  let needed_weak = Config.weak t.cfg and needed_quorum = Config.quorum t.cfg in
-  let winner = ref None in
-  Hashtbl.iter
-    (fun _d (total, nontent, full) ->
-      match full with
-      | Some result when nontent >= needed_weak || total >= needed_quorum ->
-          winner := Some result
-      | _ -> ())
-    groups;
-  match !winner with
-  | Some result ->
-      (match fl.fl_timer with Some h -> Engine.cancel h | None -> ());
-      Hashtbl.remove t.inflight (fl.fl_client, fl.fl_ts);
-      Hist.add t.lat
-        (Engine.to_us (Engine.now t.engine) -. Engine.to_us fl.fl_issued);
-      t.completed <- t.completed + 1;
-      t.on_complete ~client:fl.fl_client ~op:fl.fl_op ~result;
-      t.stream_done ~stream:fl.fl_stream ~index:fl.fl_index
-  | None -> ()
+let complete t fl result =
+  (match fl.fl_timer with Some h -> Engine.cancel h | None -> ());
+  Hashtbl.remove t.inflight (fl.fl_client, fl.fl_ts);
+  Hist.add t.lat
+    (Engine.to_us (Engine.now t.engine) -. Engine.to_us fl.fl_issued);
+  t.completed <- t.completed + 1;
+  t.on_complete ~client:fl.fl_client ~op:fl.fl_op ~result;
+  t.stream_done ~stream:fl.fl_stream ~index:fl.fl_index
 
 let handle_reply t dst (env : Message.envelope) =
   match env.body with
@@ -280,20 +253,15 @@ let handle_reply t dst (env : Message.envelope) =
           in
           if verified then begin
             if rp.rp_view > t.view_guess then t.view_guess <- rp.rp_view;
-            let info =
-              match rp.rp_result with
-              | Full s ->
-                  Network.charge t.net ~id:dst (Costs.digest_us t.costs (String.length s));
-                  {
-                    ri_tentative = rp.rp_tentative;
-                    ri_digest = Wire.result_digest s;
-                    ri_full = Some s;
-                  }
-              | Result_digest d ->
-                  { ri_tentative = rp.rp_tentative; ri_digest = d; ri_full = None }
-            in
-            Hashtbl.replace fl.fl_replies rp.rp_replica info;
-            try_complete t fl
+            (match rp.rp_result with
+            | Full s -> Network.charge t.net ~id:dst (Costs.digest_us t.costs (String.length s))
+            | Result_digest _ -> ());
+            match
+              Client.tally t.cfg fl.fl_replies ~quorum_only:false ~replica:rp.rp_replica
+                (Client.reply_info rp)
+            with
+            | Some result -> complete t fl result
+            | None -> ()
           end)
   | _ -> ()
 
@@ -310,7 +278,7 @@ let issue_derived t ~stream ~index =
       fl_index = index;
       fl_op = op_for_derived ~stream ~index;
       fl_issued = Engine.now t.engine;
-      fl_replies = Hashtbl.create 8;
+      fl_replies = Array.make t.cfg.Config.n None;
       fl_timer = None;
       fl_retries = 0;
     }

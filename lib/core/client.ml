@@ -13,14 +13,41 @@ type deps = {
   rng : Bft_util.Rng.t;
 }
 
-(* Per-replica reply record: tentative flag, result digest, full result if
-   it carried one. *)
 type reply_info = { ri_tentative : bool; ri_digest : string; ri_full : string option }
+
+let reply_info (rp : reply) =
+  match rp.rp_result with
+  | Full s -> { ri_tentative = rp.rp_tentative; ri_digest = Wire.result_digest s; ri_full = Some s }
+  | Result_digest d -> { ri_tentative = rp.rp_tentative; ri_digest = d; ri_full = None }
+
+(* Record [ri] as [replica]'s reply and count its digest group. Before the
+   call no group held a certificate (the caller completes as soon as one
+   does, and a read-only promotion empties [replies]), and the only group
+   that grew is the arriving reply's, so it is the only one to count: O(n)
+   per reply. Every full result in one group hashes to the same digest, so
+   the first is the result. *)
+let tally cfg replies ~quorum_only ~replica ri =
+  let n = Array.length replies in
+  if replica < 0 || replica >= n then None
+  else begin
+    replies.(replica) <- Some ri;
+    let total = ref 0 and nontent = ref 0 and full = ref None in
+    for i = 0 to n - 1 do
+      match replies.(i) with
+      | Some r when String.equal r.ri_digest ri.ri_digest ->
+          incr total;
+          if not r.ri_tentative then incr nontent;
+          if Option.is_none !full then full := r.ri_full
+      | _ -> ()
+    done;
+    if (!nontent >= Config.weak cfg && not quorum_only) || !total >= Config.quorum cfg then !full
+    else None
+  end
 
 type pending = {
   p_req : request;
   p_started : Engine.time;
-  p_replies : (int, reply_info) Hashtbl.t;
+  p_replies : reply_info option array; (* indexed by replica id *)
   p_callback : result:string -> latency_us:float -> unit;
   mutable p_timer : Engine.handle option;
   mutable p_retries : int;
@@ -118,7 +145,7 @@ let rec arm_timer t p =
                 timestamp stay valid and are kept *)
              if p.p_req.read_only && (not p.p_promoted) && p.p_retries >= 2 then begin
                p.p_promoted <- true;
-               Hashtbl.reset p.p_replies
+               Array.fill p.p_replies 0 (Array.length p.p_replies) None
              end;
              let req =
                if p.p_promoted then { p.p_req with read_only = false } else p.p_req
@@ -130,58 +157,28 @@ let rec arm_timer t p =
              arm_timer t p
            end))
 
-let try_complete t p =
-  (* group matching replies by result digest *)
-  let groups = Hashtbl.create 4 in
-  Hashtbl.iter
-    (fun replica ri ->
-      let total, nontent, full =
-        match Hashtbl.find_opt groups ri.ri_digest with
-        | Some (a, b, f) -> (a, b, f)
-        | None -> (0, 0, None)
-      in
-      ignore replica;
-      let full = match (full, ri.ri_full) with Some f, _ -> Some f | None, f -> f in
-      Hashtbl.replace groups ri.ri_digest
-        (total + 1, (if ri.ri_tentative then nontent else nontent + 1), full))
-    p.p_replies;
-  let cfg = t.d.cfg in
-  let needed_weak = Config.weak cfg and needed_quorum = Config.quorum cfg in
-  let winner = ref None in
-  Hashtbl.iter
-    (fun _d (total, nontent, full) ->
-      match full with
-      | Some result ->
-          let ok =
-            if p.p_req.read_only && not p.p_promoted then total >= needed_quorum
-            else nontent >= needed_weak || total >= needed_quorum
-          in
-          if ok then winner := Some result
-      | None -> ())
-    groups;
-  match !winner with
-  | Some result ->
-      (match p.p_timer with Some h -> Engine.cancel h | None -> ());
-      t.pending <- None;
-      t.completed <- t.completed + 1;
-      let latency = Engine.to_us (Int64.sub (Engine.now t.engine) p.p_started) in
-      (* clamp each sample to [srtt/4, 4*srtt]: one outlier reply (the
-         first after a view change, or a locally-served read) must not
-         collapse or blow up the smoothed RTT — a collapsed SRTT makes the
-         adaptive timeout fire before genuine replies can arrive and the
-         client thrashes with broadcast retransmissions *)
-      let sample =
-        if t.srtt_us > 0.0 then
-          Float.min (4.0 *. t.srtt_us) (Float.max (0.25 *. t.srtt_us) latency)
-        else latency
-      in
-      t.srtt_us <-
-        (if t.srtt_us = 0.0 then sample else (0.8 *. t.srtt_us) +. (0.2 *. sample));
-      if Obs.enabled t.obs then
-        Obs.client_complete t.obs ~now:(Engine.now t.engine)
-          ~timestamp:p.p_req.timestamp ~latency_us:latency;
-      p.p_callback ~result ~latency_us:latency
-  | None -> ()
+(* Fire the callback once [result] holds a reply certificate. *)
+let complete t p result =
+  (match p.p_timer with Some h -> Engine.cancel h | None -> ());
+  t.pending <- None;
+  t.completed <- t.completed + 1;
+  let latency = Engine.to_us (Int64.sub (Engine.now t.engine) p.p_started) in
+  (* clamp each sample to [srtt/4, 4*srtt]: one outlier reply (the
+     first after a view change, or a locally-served read) must not
+     collapse or blow up the smoothed RTT — a collapsed SRTT makes the
+     adaptive timeout fire before genuine replies can arrive and the
+     client thrashes with broadcast retransmissions *)
+  let sample =
+    if t.srtt_us > 0.0 then
+      Float.min (4.0 *. t.srtt_us) (Float.max (0.25 *. t.srtt_us) latency)
+    else latency
+  in
+  t.srtt_us <-
+    (if t.srtt_us = 0.0 then sample else (0.8 *. t.srtt_us) +. (0.2 *. sample));
+  if Obs.enabled t.obs then
+    Obs.client_complete t.obs ~now:(Engine.now t.engine)
+      ~timestamp:p.p_req.timestamp ~latency_us:latency;
+  p.p_callback ~result ~latency_us:latency
 
 (* A verified reply from a later view means a new primary is in charge:
    besides bumping the view guess, reset the in-flight retry exponent —
@@ -232,16 +229,15 @@ let handle t (env : envelope) =
           in
           if verified then begin
             note_view t rp.rp_view;
-            let info =
-              match rp.rp_result with
-              | Full s ->
-                  charge t (Costs.digest_us t.costs (String.length s));
-                  { ri_tentative = rp.rp_tentative; ri_digest = Wire.result_digest s; ri_full = Some s }
-              | Result_digest d ->
-                  { ri_tentative = rp.rp_tentative; ri_digest = d; ri_full = None }
-            in
-            Hashtbl.replace p.p_replies rp.rp_replica info;
-            try_complete t p
+            (match rp.rp_result with
+            | Full s -> charge t (Costs.digest_us t.costs (String.length s))
+            | Result_digest _ -> ());
+            let quorum_only = p.p_req.read_only && not p.p_promoted in
+            match
+              tally t.d.cfg p.p_replies ~quorum_only ~replica:rp.rp_replica (reply_info rp)
+            with
+            | Some result -> complete t p result
+            | None -> ()
           end
       | _ -> ())
   | _ -> ()
@@ -327,7 +323,7 @@ let invoke t ?(read_only = false) ~op callback =
     {
       p_req = req;
       p_started = Engine.now t.engine;
-      p_replies = Hashtbl.create 8;
+      p_replies = Array.make t.d.cfg.Config.n None;
       p_callback = callback;
       p_timer = None;
       p_retries = 0;
@@ -360,16 +356,12 @@ let state_digest t =
       add "req=%s ts=%Ld ro=%b repl=%d bcast=%b promo=%b timer=%b(" p.p_req.op
         p.p_req.timestamp p.p_req.read_only p.p_req.replier p.p_broadcast p.p_promoted
         (match p.p_timer with Some h -> Engine.is_pending h | None -> false);
-      let replicas =
-        List.sort Int.compare (Hashtbl.fold (fun k _ acc -> k :: acc) p.p_replies [])
-      in
-      List.iter
-        (fun r ->
-          match Hashtbl.find_opt p.p_replies r with
+      Array.iteri
+        (fun r -> function
           | Some ri ->
               add "%d:%b:%s:%b;" r ri.ri_tentative (Bft_util.Hex.encode ri.ri_digest)
                 (ri.ri_full <> None)
           | None -> ())
-        replicas;
+        p.p_replies;
       add ")");
   Bft_crypto.Sha256.hexdigest (Buffer.contents b)

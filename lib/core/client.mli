@@ -67,6 +67,33 @@ val flood : t -> interval_us:float -> unit
 val flood_stop : t -> unit
 (** Stop flooding; a no-op when not flooding. *)
 
+(** {2 Reply certificates}
+
+    Shared with the synthetic cohort driver, so both proxies accept a
+    result by the same rule. *)
+
+type reply_info = { ri_tentative : bool; ri_digest : string; ri_full : string option }
+(** One replica's reply: tentative flag, result digest, full result if it
+    carried one. *)
+
+val reply_info : Message.reply -> reply_info
+(** Hashes a full result to its digest; no cost is charged. *)
+
+val tally :
+  Config.t ->
+  reply_info option array ->
+  quorum_only:bool ->
+  replica:int ->
+  reply_info ->
+  string option
+(** [tally cfg replies ~quorum_only ~replica ri] records [ri] as
+    [replica]'s reply in [replies] (length n, indexed by replica id) and
+    returns the result once [ri]'s digest group holds a certificate and a
+    full result: f+1 non-tentative replies or 2f+1 replies, or only the
+    latter when [quorum_only] (an unpromoted read-only request). Replica
+    ids outside 0..n-1 are ignored. Counts only the arriving reply's
+    group: the caller must stop tallying once a result is returned. *)
+
 val state_digest : t -> string
 (** Canonical, time-abstract fingerprint of the client-proxy state for the
     exhaustive explorer (in-flight request, collected replies sorted by

@@ -111,10 +111,13 @@ type t = {
      the queue depths observed at batch-formation points, so it is as
      deterministic as the queue itself *)
   mutable batch_target : int;
-  queued : (string, unit) Hashtbl.t; (* digests present in the queue *)
-  (* digests assigned to a batch but not yet executed: retransmissions of
-     an in-flight request must not be assigned a second sequence number *)
-  assigned : (string, unit) Hashtbl.t;
+  (* every digest queued, assigned to a batch but not yet executed
+     (retransmissions of an in-flight request must not be assigned a
+     second sequence number), or waiting: the set that drives the vc
+     timer, each with its arrival time. The arrival time feeds the primary
+     performance watchdog only — state digests serialize the digests
+     alone, so the clock values never leak into explorer state identity. *)
+  pipeline : Pipeline.t;
   (* client -> t, result, view; ordered, so snapshot encoding streams the
      cache in ascending client order without a sort *)
   mutable last_reply : (int64 * string * int) Int_map.t;
@@ -139,11 +142,6 @@ type t = {
   mutable vc_timer : Engine.handle option;
   mutable vc_timeout_us : float;
   mutable deferred_nv : new_view option; (* waiting for vcs or batches *)
-  (* client-request waiting set: request digest -> arrival time; drives
-     the vc timer. The arrival time feeds the primary performance
-     watchdog only — state digests serialize the keys alone, so the
-     clock values never leak into explorer state identity. *)
-  waiting : (string, Engine.time) Hashtbl.t;
   (* per-peer retransmission budget state (see [retx_state]) *)
   retx : (int, retx_state) Hashtbl.t;
   (* primary performance watchdog (Config.perf_watchdog): smoothed
@@ -510,7 +508,9 @@ let store_request t req token verified =
   let d = Wire.request_digest req in
   (match Hashtbl.find_opt t.requests d with
   | Some sr when sr.sr_verified -> ()
-  | _ -> Hashtbl.replace t.requests d { sr_req = req; sr_token = token; sr_verified = verified });
+  | prev ->
+      Hashtbl.replace t.requests d { sr_req = req; sr_token = token; sr_verified = verified };
+      if Option.is_none prev then Pipeline.body_stored t.pipeline d);
   d
 
 let resolve_elem t elem =
@@ -587,7 +587,7 @@ let relay_waiting t =
               in
               Network.send t.d.net ~src:t.id ~dst ~size:(Wire.envelope_size env) env
           | _ -> ())
-        (List.sort String.compare (Hashtbl.fold (fun d _ acc -> d :: acc) t.waiting []))
+        (Pipeline.waiting_digests t.pipeline)
   end
 
 let start_vc_timer t =
@@ -604,11 +604,10 @@ let start_vc_timer t =
                !start_view_change_ref t (t.view + 1)
              end))
 
-let note_waiting t digest =
-  if not (Hashtbl.mem t.waiting digest) then begin
-    Hashtbl.replace t.waiting digest (now t);
-    if t.active then start_vc_timer t
-  end
+let note_waiting t digest (req : request) =
+  if Pipeline.note_waiting t.pipeline digest ~client:req.client ~ts:req.timestamp ~now:(now t)
+     && t.active
+  then start_vc_timer t
 
 (* Primary performance watchdog (the slow-primary attack of Chondros et
    al.): a primary that keeps answering timers but orders requests ever
@@ -652,12 +651,11 @@ let perf_note_sample t arrival =
   end
 
 let clear_waiting t digest =
-  match Hashtbl.find_opt t.waiting digest with
+  match Pipeline.clear_waiting t.pipeline digest with
   | None -> ()
   | Some arrival ->
-      Hashtbl.remove t.waiting digest;
       perf_note_sample t arrival;
-      if Hashtbl.length t.waiting = 0 then stop_vc_timer t
+      if Pipeline.waiting_count t.pipeline = 0 then stop_vc_timer t
       else if t.active then begin
         (* restart for the next waiting request (FIFO fairness, 2.3.5) *)
         stop_vc_timer t;
@@ -676,19 +674,8 @@ let clear_waiting t digest =
    [clear_waiting]: a request that never executed must not feed the
    performance watchdog's latency EWMA. *)
 let purge_superseded t ~client ~ts =
-  let dead =
-    Hashtbl.fold
-      (fun d (_ : Engine.time) acc ->
-        match Hashtbl.find_opt t.requests d with
-        | Some sr
-          when sr.sr_req.client = client && Int64.compare sr.sr_req.timestamp ts <= 0
-          -> d :: acc
-        | _ -> acc)
-      t.waiting []
-  in
-  if dead <> [] then begin
-    List.iter (Hashtbl.remove t.waiting) dead;
-    if Hashtbl.length t.waiting = 0 then stop_vc_timer t
+  if Pipeline.purge_waiting t.pipeline ~client ~ts then begin
+    if Pipeline.waiting_count t.pipeline = 0 then stop_vc_timer t
     else if t.active then begin
       stop_vc_timer t;
       start_vc_timer t
@@ -825,7 +812,7 @@ let execute_batch t n ~tentative =
           match resolve_elem t elem with
           | None -> () (* cannot happen: execution gated on have_batch_bodies *)
           | Some req ->
-              Hashtbl.remove t.assigned (Wire.request_digest req);
+              Pipeline.unassign t.pipeline (Wire.request_digest req);
               let last_t = last_reply_ts t req.client in
               if Int64.compare req.timestamp last_t > 0 then begin
                 let result =
@@ -1126,12 +1113,7 @@ let process_queue t =
         else 1
       in
       let chosen = queue_take t take in
-      List.iter
-        (fun r ->
-          let d = Wire.request_digest r in
-          Hashtbl.remove t.queued d;
-          Hashtbl.replace t.assigned d ())
-        chosen;
+      List.iter (fun r -> Pipeline.assign t.pipeline (Wire.request_digest r)) chosen;
       if chosen = [] then continue := false
       else begin
         if Obs.enabled t.obs then Obs.batch_formed t.obs ~len:(List.length chosen);
@@ -1169,26 +1151,6 @@ let process_queue t =
 
 let () = process_queue_ref := process_queue
 
-(* Admission control (the client-flood attack of Chondros et al.): the
-   number of distinct requests a client currently has in the ordering
-   pipeline at this replica — queued, assigned to a batch, or awaited
-   from the primary. Computed from the live tables rather than a shadow
-   counter so it can never leak and permanently starve a client. The
-   quota bounds each client's share, not the tables: the scan walks every
-   client's in-flight digests, O(pipeline depth) per admitted request. *)
-let client_inflight t client =
-  let seen = Hashtbl.create 16 in
-  let note d =
-    if not (Hashtbl.mem seen d) then
-      match Hashtbl.find_opt t.requests d with
-      | Some sr when sr.sr_req.client = client -> Hashtbl.replace seen d ()
-      | _ -> ()
-  in
-  Hashtbl.iter (fun d () -> note d) t.queued;
-  Hashtbl.iter (fun d () -> note d) t.assigned;
-  Hashtbl.iter (fun d (_ : Engine.time) -> note d) t.waiting;
-  Hashtbl.length seen
-
 (* Accept and queue a client request (primary) or relay it (backup). *)
 let handle_request t (req : request) token ~verified ~relayed =
   let d = Wire.request_digest req in
@@ -1219,11 +1181,9 @@ let handle_request t (req : request) token ~verified ~relayed =
        closed-loop with one outstanding request and never get near the
        default quota. The read-only fast path below bypasses the
        ordering pipeline and is exempt. *)
-    (not (Hashtbl.mem t.queued d))
-    && (not (Hashtbl.mem t.assigned d))
-    && (not (Hashtbl.mem t.waiting d))
+    (not (Pipeline.mem t.pipeline d))
     && (not (req.read_only && t.d.cfg.Config.read_only_opt && verified))
-    && client_inflight t req.client >= t.d.cfg.Config.client_quota
+    && Pipeline.inflight t.pipeline req.client >= t.d.cfg.Config.client_quota
   then begin
     t.counters.n_admission_dropped <- t.counters.n_admission_dropped + 1;
     if Obs.enabled t.obs then Obs.admission_drop t.obs ~now:(now t) ~client:req.client;
@@ -1239,14 +1199,14 @@ let handle_request t (req : request) token ~verified ~relayed =
       flush_read_only t
     end
     else if is_primary t then begin
-      if verified && not (Hashtbl.mem t.queued d) && not (Hashtbl.mem t.assigned d) then begin
+      if verified && Pipeline.enqueue t.pipeline d ~client:req.client ~ts:req.timestamp
+      then begin
         queue_push t req;
-        Hashtbl.replace t.queued d ();
         process_queue t
       end
     end
     else begin
-      note_waiting t d;
+      note_waiting t d req;
       if not relayed then
         (* relay to the primary with the client's token intact *)
         if not t.muted then begin
@@ -1414,7 +1374,7 @@ let accept_pre_prepare t (pp : pre_prepare) =
               match resolve_elem t e with
               | Some r ->
                   if Int64.compare r.timestamp (last_reply_ts t r.client) > 0 then
-                    note_waiting t (Wire.request_digest r)
+                    note_waiting t (Wire.request_digest r) r
               | None -> ())
             pp.pp_batch;
           send_prepare t ~view:v ~seq:n d;
@@ -1530,7 +1490,7 @@ let start_view_change t new_view =
     Hashtbl.replace t.my_vcs new_view vc;
     Hashtbl.replace t.vcs (new_view, t.id) (vc, true);
     Log.clear_entries t.log;
-    Hashtbl.reset t.assigned;
+    Pipeline.reset_assigned t.pipeline;
     t.pending_ckpt_announce <- [];
     (* roll back any tentative executions: they may be replaced by null
        requests in the new view (Section 5.1.2) *)
@@ -2105,7 +2065,7 @@ let enter_new_view t (nv : new_view) =
   (* redo the protocol; executions <= last_exec are skipped automatically *)
   List.iter (fun c -> check_prepared_to_commit t ~seq:c.nc_seq) nv.nv_chosen;
   try_execute t;
-  if Hashtbl.length t.waiting > 0 then start_vc_timer t;
+  if Pipeline.waiting_count t.pipeline > 0 then start_vc_timer t;
   process_queue t
 
 (* Validate and adopt a deferred new-view once all its view-changes (and
@@ -2702,8 +2662,7 @@ let create ?(obs = Obs.null) d ~id =
       queue_back = [];
       queue_len = 0;
       batch_target = 1;
-      queued = Hashtbl.create 16;
-      assigned = Hashtbl.create 16;
+      pipeline = Pipeline.create ();
       last_reply = Int_map.empty;
       paged_sync = None;
       deferred_pps = [];
@@ -2720,7 +2679,6 @@ let create ?(obs = Obs.null) d ~id =
       vc_timer = None;
       vc_timeout_us = d.cfg.Config.vc_timeout_us;
       deferred_nv = None;
-      waiting = Hashtbl.create 16;
       retx = Hashtbl.create 8;
       perf_ewma_us = 0.0;
       perf_samples = 0;
@@ -2789,7 +2747,7 @@ let debug_dump t =
   Printf.sprintf
     "r%d v=%d act=%b le=%d cu=%d seqno=%d stable=%d q=%d wait=%d defpp=%d nv=%b rec=%b hm=%d fill=%d"
     t.id t.view t.active t.last_exec t.committed_upto t.seqno
-    (Checkpoint_store.stable_seq t.ckpts) t.queue_len (Hashtbl.length t.waiting)
+    (Checkpoint_store.stable_seq t.ckpts) t.queue_len (Pipeline.waiting_count t.pipeline)
     (List.length t.deferred_pps)
     (t.deferred_nv <> None) (t.recovering <> None)
     (if t.hm_bound = max_int then -1 else t.hm_bound)
@@ -2836,11 +2794,10 @@ let crash_reboot t =
   Hashtbl.reset t.requests;
   queue_clear t;
   t.batch_target <- 1;
-  Hashtbl.reset t.queued;
+  Pipeline.crash t.pipeline;
   t.deferred_pps <- [];
   t.pending_ro <- [];
   t.deferred_nv <- None;
-  Hashtbl.reset t.waiting;
   Hashtbl.reset t.retx;
   t.perf_ewma_us <- 0.0;
   t.perf_samples <- 0;
@@ -2919,9 +2876,9 @@ let state_digest t =
   add "|queue:";
   List.iter (fun r -> add "%s;" (hexd (Wire.request_digest r))) (queue_to_list t);
   add "|assigned:";
-  List.iter (fun d -> add "%s;" (hexd d)) (sorted_string_keys t.assigned);
+  List.iter (fun d -> add "%s;" (hexd d)) (Pipeline.assigned_digests t.pipeline);
   add "|waiting:";
-  List.iter (fun d -> add "%s;" (hexd d)) (sorted_string_keys t.waiting);
+  List.iter (fun d -> add "%s;" (hexd d)) (Pipeline.waiting_digests t.pipeline);
   add "|defpp:";
   List.iter
     (fun pp -> add "%s;" (hstr (Wire.encode (Pre_prepare pp))))

@@ -27,7 +27,9 @@ let group_mem g id = id >= g.g_first && id <= g.g_last
 
 let group_derive g ~src ~dst =
   g.g_derivations <- g.g_derivations + 1;
-  let secret = Hmac.mac_precomputed g.g_pre (Printf.sprintf "key:%d>%d" src dst) in
+  let secret =
+    Hmac.mac_precomputed g.g_pre ("key:" ^ string_of_int src ^ ">" ^ string_of_int dst)
+  in
   let key = { secret; epoch = 1 } in
   (key, Hmac.precompute ~key:secret)
 

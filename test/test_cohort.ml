@@ -250,6 +250,127 @@ let test_group_derivations_observed () =
     true
     (Keychain.group_derivations g > 0)
 
+(* --- reply tally: the shared per-arrival count against the old
+   group-every-reply-then-scan-every-group rule --- *)
+
+module Client = Bft_core.Client
+
+type tally_op =
+  | Reply of int * int * bool * bool (* replica, result, full, tentative *)
+  | Promote (* a read-only request retried as read-write: replies void *)
+
+let show_tally_op = function
+  | Reply (r, v, full, tent) -> Printf.sprintf "r%d:v%d%s%s" r v (if full then "F" else "d") (if tent then "t" else "")
+  | Promote -> "promote"
+
+let results = [| "alpha"; "beta"; "gamma" |]
+
+let tally_info v ~full ~tentative =
+  Client.reply_info
+    {
+      Bft_core.Message.rp_view = 0;
+      rp_timestamp = 1L;
+      rp_client = 99;
+      rp_replica = 0;
+      rp_tentative = tentative;
+      rp_result =
+        (if full then Full results.(v)
+         else Result_digest (Bft_core.Wire.result_digest results.(v)));
+    }
+
+(* the rule both proxies ran before: group every collected reply by
+   digest, then accept any group holding a certificate and a full result *)
+let reference_complete cfg replies ~quorum_only =
+  let groups = Hashtbl.create 4 in
+  Hashtbl.iter
+    (fun _ (ri : Client.reply_info) ->
+      let total, nontent, full =
+        Option.value (Hashtbl.find_opt groups ri.ri_digest) ~default:(0, 0, None)
+      in
+      let full = match full with Some _ -> full | None -> ri.ri_full in
+      Hashtbl.replace groups ri.ri_digest
+        (total + 1, (if ri.ri_tentative then nontent else nontent + 1), full))
+    replies;
+  Hashtbl.fold
+    (fun _ (total, nontent, full) acc ->
+      match full with
+      | Some result
+        when (nontent >= Bft_core.Config.weak cfg && not quorum_only)
+             || total >= Bft_core.Config.quorum cfg ->
+          Some result
+      | _ -> acc)
+    groups None
+
+(* run until either side completes; both must complete at the same reply
+   with the same result. Ids outside 0..n-1 never reach the reference:
+   ignoring them is the shared rule (a client's MAC check already failed
+   them; the cohort's group key does not). *)
+let tally_agrees (f, read_only, ops) =
+  let cfg = Bft_core.Config.make ~f () in
+  let n = cfg.Bft_core.Config.n in
+  let arr = Array.make n None and tbl = Hashtbl.create 8 in
+  let promoted = ref false in
+  let rec go = function
+    | [] -> true
+    | Promote :: rest ->
+        if read_only && not !promoted then begin
+          promoted := true;
+          Array.fill arr 0 n None;
+          Hashtbl.reset tbl
+        end;
+        go rest
+    | Reply (replica, v, full, tentative) :: rest -> (
+        let ri = tally_info v ~full ~tentative in
+        let quorum_only = read_only && not !promoted in
+        let got = Client.tally cfg arr ~quorum_only ~replica ri in
+        if replica >= 0 && replica < n then Hashtbl.replace tbl replica ri;
+        let expect = reference_complete cfg tbl ~quorum_only in
+        match (got, expect) with
+        | None, None -> go rest
+        | Some a, Some b -> String.equal a b
+        | _ -> false)
+  in
+  go ops
+
+let gen_tally =
+  let open QCheck.Gen in
+  int_range 1 2 >>= fun f ->
+  let n = (3 * f) + 1 in
+  let reply =
+    map
+      (fun (r, v, full, tent) -> Reply (r, v, full, tent))
+      (quad (int_range (-2) (n + 1)) (frequency [ (4, return 0); (1, int_range 1 2) ]) bool bool)
+  in
+  bool >>= fun read_only ->
+  list_size (int_range 1 40) (frequency [ (12, reply); (1, return Promote) ]) >>= fun ops ->
+  return (f, read_only, ops)
+
+let prop_tally =
+  QCheck.Test.make ~count:2000 ~name:"reply tally = group-then-scan"
+    QCheck.(
+      make
+        ~print:(fun (f, ro, ops) ->
+          Printf.sprintf "f=%d ro=%b %s" f ro (String.concat " " (List.map show_tally_op ops)))
+        gen_tally)
+    tally_agrees
+
+let test_tally_ignores_out_of_range () =
+  let cfg = Bft_core.Config.make ~f:1 () in
+  let arr = Array.make cfg.Bft_core.Config.n None in
+  let full = tally_info 0 ~full:true ~tentative:false in
+  List.iter
+    (fun replica ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "id %d ignored" replica)
+        None
+        (Client.tally cfg arr ~quorum_only:false ~replica full))
+    [ -1; 4; 5; max_int; min_int ];
+  Alcotest.(check bool) "nothing recorded" true (Array.for_all Option.is_none arr);
+  Alcotest.(check (option string)) "one in range" None
+    (Client.tally cfg arr ~quorum_only:false ~replica:0 full);
+  Alcotest.(check (option string)) "f+1 non-tentative" (Some "alpha")
+    (Client.tally cfg arr ~quorum_only:false ~replica:3 full)
+
 let suites =
   [
     ( "cohort",
@@ -276,5 +397,10 @@ let suites =
           test_adaptive_deterministic_and_safe;
         Alcotest.test_case "off is identity" `Quick test_adaptive_off_is_identity;
         Alcotest.test_case "occupancy histogram" `Quick test_adaptive_feeds_occupancy_hist;
+      ] );
+    ( "core.reply_tally",
+      [
+        Alcotest.test_case "out-of-range ids ignored" `Quick test_tally_ignores_out_of_range;
+        QCheck_alcotest.to_alcotest prop_tally;
       ] );
   ]

@@ -264,6 +264,57 @@ let test_hmac_truncated_verify () =
   Alcotest.(check bool) "wrong msg" false (Hmac.verify ~key ~tag "payload2");
   Alcotest.(check bool) "wrong key" false (Hmac.verify ~key:"other" ~tag msg)
 
+(* HMAC as RFC 2104 writes it, on one-shot digests only: the key (hashed
+   first when longer than a block) zero-padded to 64 bytes, then
+   H((K xor opad) || H((K xor ipad) || m)) *)
+let spec_hmac ~key msg =
+  let key = if String.length key > 64 then Sha256.digest key else key in
+  let block = key ^ String.make (64 - String.length key) '\x00' in
+  let pad b = String.map (fun c -> Char.chr (Char.code c lxor b)) block in
+  Sha256.digest (pad 0x5c ^ Sha256.digest (pad 0x36 ^ msg))
+
+let gen_key_msg =
+  let open QCheck.Gen in
+  let key_len = oneof [ oneofl [ 0; 1; 63; 64; 65; 200 ]; int_range 0 300 ] in
+  pair (string_size ~gen:char key_len) (string_size ~gen:char (int_range 0 300))
+
+let prop_hmac_spec =
+  QCheck.Test.make ~count:500 ~name:"precomputed hmac = spec"
+    QCheck.(
+      make
+        ~print:(fun (k, m) -> Printf.sprintf "key %d bytes, msg %d bytes" (String.length k) (String.length m))
+        gen_key_msg)
+    (fun (key, msg) ->
+      let expect = spec_hmac ~key msg in
+      let pre = Hmac.precompute ~key in
+      String.equal (Hmac.mac_precomputed pre msg) expect
+      && String.equal (Hmac.mac ~key msg) expect
+      && String.equal (Hmac.mac_truncated_precomputed pre 8 msg) (String.sub expect 0 8)
+      && Hmac.verify_precomputed pre ~tag:(String.sub expect 0 8) msg)
+
+(* a derived key is HMAC(group secret, "key:<src>><dst>") in decimal, and
+   its precomputed pads MAC like the spec under that key *)
+let prop_group_derive_spec =
+  let secret = "group-derive-secret" in
+  let g = Keychain.group ~first:0 ~last:1 ~secret in
+  let id =
+    QCheck.Gen.(
+      oneof
+        [
+          int_range (-5) 20;
+          int_range 1_000_000 50_000_000;
+          oneofl [ -1_000_001; min_int; max_int; 1_000_000 ];
+        ])
+  in
+  QCheck.Test.make ~count:300 ~name:"group_derive = spec hmac of key:src>dst"
+    QCheck.(make ~print:Print.(pair int int) Gen.(pair id id))
+    (fun (src, dst) ->
+      let key, pre = Keychain.group_derive g ~src ~dst in
+      let expect = spec_hmac ~key:secret (Printf.sprintf "key:%d>%d" src dst) in
+      String.equal key.Keychain.secret expect
+      && key.Keychain.epoch = 1
+      && String.equal (Hmac.mac_precomputed pre "msg") (spec_hmac ~key:expect "msg"))
+
 (* --- Hex --- *)
 
 let test_hex_known () =
@@ -504,6 +555,8 @@ let suites =
         Alcotest.test_case "rfc4231 case3" `Quick test_hmac_rfc4231_case3;
         Alcotest.test_case "rfc4231 case6" `Quick test_hmac_rfc4231_case6;
         Alcotest.test_case "truncated verify" `Quick test_hmac_truncated_verify;
+        QCheck_alcotest.to_alcotest prop_hmac_spec;
+        QCheck_alcotest.to_alcotest prop_group_derive_spec;
       ] );
     ( "crypto.hex",
       [
