@@ -216,15 +216,9 @@ let handle t (env : envelope) =
                 s.Bft_crypto.Signature.signer_id = rp.rp_replica
                 && Bft_crypto.Signature.verify t.d.registry s (Wire.envelope_bytes env)
             | _, Auth_mac m ->
-                (* one-item pool batch: executed inline, verdict and charge
-                   identical to the sequential [verify_mac] *)
                 charge t t.costs.Costs.mac_us;
-                if Obs.enabled t.obs then Obs.vpool_submit t.obs ~items:1;
-                (Bft_crypto.Auth.verify_batch t.d.keychain
-                   [|
-                     Bft_crypto.Auth.Item_mac
-                       { peer = rp.rp_replica; mac = m; msg = Wire.envelope_bytes env };
-                   |]).(0)
+                Bft_crypto.Auth.verify_mac t.d.keychain ~peer:rp.rp_replica m
+                  (Wire.envelope_bytes env)
             | _, (Auth_none | Auth_vector _) -> false
           in
           if verified then begin

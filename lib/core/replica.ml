@@ -345,16 +345,6 @@ let send_plain t ~dst body =
     Network.send t.d.net ~src:t.id ~dst ~size:(Wire.envelope_size env) env
   end
 
-(* MAC verification crosses the verification pool as a one-item batch:
-   [Vpool.run] executes sub-parallel batches inline on the caller, so the
-   verdict and the virtual-time charge are exactly the sequential path's —
-   the pool only changes who does the HMAC arithmetic, never the result
-   order. Signatures stay on the caller (cheap to model, nothing to
-   batch). *)
-let pool_verify t item =
-  if Obs.enabled t.obs then Obs.vpool_submit t.obs ~items:1;
-  (Bft_crypto.Auth.verify_batch t.d.keychain [| item |]).(0)
-
 let verify_token_bytes t ~claimed bytes token =
   match token with
   | Auth_none -> false
@@ -364,10 +354,10 @@ let verify_token_bytes t ~claimed bytes token =
       && Bft_crypto.Signature.verify t.d.registry s bytes
   | Auth_mac m ->
       charge t t.costs.Costs.mac_us;
-      pool_verify t (Bft_crypto.Auth.Item_mac { peer = claimed; mac = m; msg = bytes })
+      Bft_crypto.Auth.verify_mac t.d.keychain ~peer:claimed m bytes
   | Auth_vector a ->
       charge t t.costs.Costs.mac_us;
-      pool_verify t (Bft_crypto.Auth.Item_auth { peer = claimed; auth = a; msg = bytes })
+      Bft_crypto.Auth.verify_authenticator t.d.keychain ~peer:claimed a bytes
 
 let verify_token t ~claimed body token =
   verify_token_bytes t ~claimed (Wire.encode body) token
@@ -1230,70 +1220,23 @@ let batch_vouched t batch_digest =
         e.Log.prepares);
   !count >= t.d.cfg.Config.f
 
-(* A batch element is authentic if (1) our MAC entry in the client's token
-   verifies, (2) f prepares vouch for the batch digest, or (3) we already
-   verified the stored request body. Evaluated in three passes so the MAC
-   arithmetic fans out through the verification pool without disturbing
-   virtual time: pass 1 resolves the charge-free conditions and classifies
-   the rest, pass 2 flushes every MAC/authenticator token as one pool
-   batch, and pass 3 consumes the verdicts in element order, charging each
-   element exactly where the sequential path would and short-circuiting at
-   the first failure — elements past it were pool-verified for nothing
-   (wall-clock only) but are never charged, so the committed-history
-   digests are byte-identical to the sequential evaluation. *)
+(* A batch element is authentic if (1) we already verified the stored
+   request body, (2) our MAC entry in the client's token verifies, or (3)
+   f prepares vouch for the batch digest. A by-digest element has no
+   token, so only (1) can pass it. Stops at the first failure. *)
 let batch_authentic t elems batch_digest =
   let vouched = lazy (batch_vouched t batch_digest) in
-  let items = ref [] and n_items = ref 0 in
-  let statuses =
-    List.map
-      (fun elem ->
-        match elem with
-        | By_digest d -> (
-            match Hashtbl.find_opt t.requests d with
-            | Some sr -> `Done sr.sr_verified
-            | None -> `Done false)
-        | Inline (r, tok) -> (
-            match Hashtbl.find_opt t.requests (Wire.request_digest r) with
-            | Some sr when sr.sr_verified -> `Done true (* condition 3 *)
-            | _ -> (
-                match tok with
-                | Auth_mac m ->
-                    let k = !n_items in
-                    incr n_items;
-                    items :=
-                      Bft_crypto.Auth.Item_mac
-                        { peer = r.client; mac = m; msg = Wire.encode (Request r) }
-                      :: !items;
-                    `Pool k
-                | Auth_vector a ->
-                    let k = !n_items in
-                    incr n_items;
-                    items :=
-                      Bft_crypto.Auth.Item_auth
-                        { peer = r.client; auth = a; msg = Wire.encode (Request r) }
-                      :: !items;
-                    `Pool k
-                | Auth_none | Auth_sig _ -> `Seq (r, tok))))
-      elems
-  in
-  let verdicts =
-    if !n_items = 0 then [||]
-    else begin
-      if Obs.enabled t.obs then Obs.vpool_submit t.obs ~items:!n_items;
-      Bft_crypto.Auth.verify_batch t.d.keychain (Array.of_list (List.rev !items))
-    end
+  let stored_verified d =
+    match Hashtbl.find_opt t.requests d with Some sr -> sr.sr_verified | None -> false
   in
   List.for_all
-    (fun st ->
-      match st with
-      | `Done b -> b
-      | `Pool k ->
-          charge t t.costs.Costs.mac_us;
-          verdicts.(k) || Lazy.force vouched
-      | `Seq (r, tok) ->
-          (* condition 1, sequential: signatures (and tokenless elements) *)
-          verify_token t ~claimed:r.client (Request r) tok || Lazy.force vouched)
-    statuses
+    (function
+      | By_digest d -> stored_verified d
+      | Inline (r, tok) ->
+          stored_verified (Wire.request_digest r)
+          || verify_token t ~claimed:r.client (Request r) tok
+          || Lazy.force vouched)
+    elems
 
 let send_prepare t ~view ~seq digest =
   if allowed_seq t seq then begin

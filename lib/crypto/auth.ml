@@ -30,70 +30,6 @@ let verify_authenticator keychain ~peer auth msg =
   | None -> false
   | Some mac -> verify_mac keychain ~peer mac msg
 
-(* Batched verification keyed by sender: one in-key lookup (and hence one
-   cached HMAC key-block precompute) per sender per flush, with the actual
-   tag/digest recomputation fanned out through the verification pool.
-   [results.(i)] answers [items.(i)] — the pool's deterministic merge —
-   and is exactly what the sequential [verify_mac]/[verify_authenticator]
-   path would have returned for that item. Items whose key is missing,
-   whose epoch is stale, or whose authenticator has no entry for us are
-   decided false up front without a pool job. *)
-
-type batch_item =
-  | Item_mac of { peer : int; mac : mac; msg : string }
-  | Item_auth of { peer : int; auth : authenticator; msg : string }
-  | Item_digest of { expect : string; msg : string }
-
-let verify_batch ?pool keychain items =
-  let n = Array.length items in
-  let results = Array.make n false in
-  if n > 0 then begin
-    (* the single-token case (every envelope verify) skips the per-sender
-       memo: one direct key lookup, no Hashtbl *)
-    let key_for =
-      if n = 1 then fun peer -> Keychain.in_key_pre keychain ~peer
-      else begin
-        let keys = Hashtbl.create 8 in
-        fun peer ->
-          match Hashtbl.find_opt keys peer with
-          | Some k -> k
-          | None ->
-              let k = Keychain.in_key_pre keychain ~peer in
-              Hashtbl.add keys peer k;
-              k
-      end
-    in
-    let my = Keychain.my_id keychain in
-    let jobs = ref [] and slots = ref [] and n_jobs = ref 0 in
-    let submit i job =
-      jobs := job :: !jobs;
-      slots := i :: !slots;
-      incr n_jobs
-    in
-    for i = 0 to n - 1 do
-      let mac_item peer (mac : mac) msg =
-        match key_for peer with
-        | Some (key, pre) when key.Keychain.epoch = mac.epoch ->
-            submit i (Vpool.Verify_mac { pre; tag = mac.tag; msg })
-        | _ -> () (* no session key or stale epoch: decided false *)
-      in
-      match items.(i) with
-      | Item_mac { peer; mac; msg } -> mac_item peer mac msg
-      | Item_auth { peer; auth; msg } -> (
-          match List.assoc_opt my auth with
-          | None -> () (* no entry for us: decided false *)
-          | Some mac -> mac_item peer mac msg)
-      | Item_digest { expect; msg } -> submit i (Vpool.Check_digest { expect; msg })
-    done;
-    if !n_jobs > 0 then begin
-      let pool = match pool with Some p -> p | None -> Vpool.default () in
-      let job_arr = Array.of_list (List.rev !jobs) in
-      let verdicts = Vpool.run pool job_arr in
-      List.iteri (fun k i -> results.(i) <- verdicts.(k)) (List.rev !slots)
-    end
-  end;
-  results
-
 let corrupt_entry auth receiver =
   List.map
     (fun (peer, mac) ->

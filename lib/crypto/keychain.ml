@@ -6,9 +6,8 @@ type key = { secret : string; epoch : int }
    [HMAC(group_secret, "key:src>dst")] at epoch 1, resuming the group
    secret's cached key-block midstates for every derivation. Derived keys
    are deliberately NOT cached: at 10^6 clients a per-peer cache at each
-   replica would cost gigabytes, while [Auth.verify_batch]'s per-flush
-   sender memo already shares each derivation (and its precompute) across
-   a whole batch. *)
+   replica would cost gigabytes, so each verification derives its
+   sender's key once. *)
 type group = {
   g_first : int;
   g_last : int;
@@ -20,8 +19,6 @@ let group ~first ~last ~secret =
   if first > last then invalid_arg "Keychain.group: empty range";
   { g_first = first; g_last = last; g_pre = Hmac.precompute ~key:secret; g_derivations = 0 }
 
-let group_first g = g.g_first
-let group_last g = g.g_last
 let group_derivations g = g.g_derivations
 let group_mem g id = id >= g.g_first && id <= g.g_last
 

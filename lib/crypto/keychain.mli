@@ -54,9 +54,8 @@ val in_epoch : t -> peer:int -> int
     midstate caches) is out of the question. A directional key is derived
     on demand as [HMAC(group_secret, "key:src>dst")] at epoch 1, resuming
     the group secret's cached key-block midstates. Derived keys are not
-    cached at the keychain: {!Auth.verify_batch}'s per-flush sender memo
-    already shares one derivation (and its precompute) across a batch,
-    which keeps replica-side memory O(1) in the range size. *)
+    cached at the keychain: each verification derives its sender's key
+    once, which keeps replica-side memory O(1) in the range size. *)
 
 type group
 
@@ -64,17 +63,12 @@ val group : first:int -> last:int -> secret:string -> group
 (** Shared group over principal ids [first..last] (inclusive). Raises
     [Invalid_argument] on an empty range. *)
 
-val group_first : group -> int
-val group_last : group -> int
-val group_mem : group -> int -> bool
-
 val group_derive : group -> src:int -> dst:int -> key * Hmac.precomputed
 (** The directional key [src -> dst] with its key-block midstates.
     Deterministic: every call for the same pair returns the same key. *)
 
 val group_derivations : group -> int
-(** Number of on-demand derivations performed through this group — lets
-    tests assert that a batched flush derives each sender's key once. *)
+(** Number of on-demand derivations performed through this group. *)
 
 val set_group : t -> group -> unit
 (** Install the group as a fallback: {!in_key_pre} / {!out_key_pre} /

@@ -94,26 +94,22 @@ let finalize ctx =
 
 (* One-shot hashing: no streaming context, no staging copies, no per-call
    allocation beyond the result -- full blocks compress straight from the
-   source, the padded tail is built in per-domain scratch, and the working
-   state lives in a per-domain scratch array. Neither one-shot entry point
-   re-enters itself, so within one domain sharing the scratch is sound; the
-   verification pool (Vpool) runs them concurrently from worker domains,
-   hence the scratch is keyed by Domain.DLS rather than being a plain
-   module global. Callers needing reentrancy use the streaming [ctx] API. *)
-type scratch = { sc_h : int array; sc_tail : Bytes.t }
+   source, the padded tail is built in [scratch_tail], and the working
+   state lives in [scratch_h]. Neither one-shot entry point re-enters
+   itself, so sharing the module scratch is sound. Callers needing
+   reentrancy use the streaming [ctx] API. *)
+let scratch_h = Array.make 8 0
+let scratch_tail = Bytes.make 128 '\x00'
 
-let scratch_key =
-  Domain.DLS.new_key (fun () -> { sc_h = Array.make 8 0; sc_tail = Bytes.make 128 '\x00' })
-
-(* Absorb [s.[pos .. pos + len - 1]] into [sc.sc_h], which already holds
+(* Absorb [s.[pos .. pos + len - 1]] into [scratch_h], which already holds
    the state after [prior] bytes (a multiple of 64); pad and emit. *)
-let finish sc s pos len ~prior =
-  let h8 = sc.sc_h in
+let finish s pos len ~prior =
+  let h8 = scratch_h in
   let blocks = len / 64 in
   if blocks > 0 then compress h8 s pos blocks;
   let rem = len - (blocks * 64) in
   let tail_len = if rem < 56 then 64 else 128 in
-  let tail = sc.sc_tail in
+  let tail = scratch_tail in
   Bytes.fill tail 0 tail_len '\x00';
   Bytes.blit_string s (pos + (blocks * 64)) tail 0 rem;
   Bytes.set tail rem '\x80';
@@ -122,13 +118,12 @@ let finish sc s pos len ~prior =
   output_digest h8
 
 let digest_sub s pos len =
-  let sc = Domain.DLS.get scratch_key in
-  let h8 = sc.sc_h in
+  let h8 = scratch_h in
   h8.(0) <- 0x6a09e667; h8.(1) <- 0xbb67ae85;
   h8.(2) <- 0x3c6ef372; h8.(3) <- 0xa54ff53a;
   h8.(4) <- 0x510e527f; h8.(5) <- 0x9b05688c;
   h8.(6) <- 0x1f83d9ab; h8.(7) <- 0x5be0cd19;
-  finish sc s pos len ~prior:0
+  finish s pos len ~prior:0
 
 let digest s = digest_sub s 0 (String.length s)
 
@@ -151,8 +146,7 @@ let midstate ctx =
   { mh = Array.copy ctx.h; m_fed = Int64.to_int ctx.total }
 
 let digest_from_midstate m s =
-  let sc = Domain.DLS.get scratch_key in
-  Array.blit m.mh 0 sc.sc_h 0 8;
-  finish sc s 0 (String.length s) ~prior:m.m_fed
+  Array.blit m.mh 0 scratch_h 0 8;
+  finish s 0 (String.length s) ~prior:m.m_fed
 
 let hexdigest s = Bft_util.Hex.encode (digest s)

@@ -1,9 +1,8 @@
-(* Static race detection for the PR-7 deterministic-merge boundary.
+(* Static race detection at a domain boundary.
 
-   The verification pool's soundness argument is that parallelism is
-   wall-clock only: jobs crossing into worker domains read immutable
-   data and results merge in submission order. Two rules keep that
-   auditable:
+   lib/ runs on one domain and has no pool, so these rules find nothing
+   in the tree today; they stay so that any code handing work to another
+   domain must show that the work reads only immutable data. Two rules:
 
    - [pool-escape]: a closure passed across the boundary ([Vpool.run],
      [Vpool.run_inline], [Vpool.submit], or a raw [Domain.spawn])

@@ -1,17 +1,13 @@
 (* Driver: run the syntactic rules over [.ml] sources, the type-aware
    rules over the [.cmt] files dune leaves under [.objs/byte], then the
-   whole-program pass (call graph -> effect fixpoint -> Vpool escape)
+   whole-program pass (call graph -> effect fixpoint -> pool escape)
    over every loaded typedtree at once; apply the per-directory
    allowlist and report sorted findings. *)
 
 (* Built-in per-directory allowlist: unchecked accesses are the point of
-   the crypto kernels and the arenas; domain primitives are fenced into
-   the verification pool (and the domain-local digest scratch in Sha256)
-   so the determinism guarantee — parallelism is wall-clock only, merged
-   in submission order — stays auditable at a glance. The pool's own
-   worker closure necessarily captures the (mutable) pool record: that
-   file IS the trust boundary the pool-escape rule defends, so it is the
-   one place allowed to cross it.
+   the crypto kernels and the arenas. No domain primitive is allowed
+   anywhere in lib/: the simulator, and every MAC and digest check in it,
+   runs on one domain.
 
    bench/ and bin/ are drivers: wall-clock timing and environment
    lookups are their job (the simulator itself never sees them), so the
@@ -21,9 +17,6 @@ let default_allowlist =
     ("lib/crypto/", Rule.unsafe_op);
     ("lib/statemachine/paged_image.ml", Rule.unsafe_op);
     ("lib/net/wire_arena.ml", Rule.unsafe_op);
-    ("lib/crypto/vpool", Rule.domain_containment);
-    ("lib/crypto/sha256.ml", Rule.domain_containment);
-    ("lib/crypto/vpool", Rule.pool_escape);
   ]
 
 let contains_sub = Bft_util.Strutil.contains_sub
@@ -80,7 +73,7 @@ let load_cmt path =
   | _ -> None
 
 (* The whole-program pass: build the cross-module call graph, run the
-   effect fixpoint, then the transitive-nondet and Vpool escape rules. *)
+   effect fixpoint, then the transitive-nondet and pool escape rules. *)
 let interprocedural units =
   let cg = Callgraph.build units in
   let summaries = Effects.infer cg in

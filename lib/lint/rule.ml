@@ -40,8 +40,8 @@ let all =
     (unsafe_op, false, "unchecked accesses only in the crypto / Paged_image allowlist");
     ( domain_containment,
       false,
-      "Domain/Atomic/Mutex/Condition only under the Vpool allowlist; parallelism must stay \
-       behind the deterministic-merge boundary" );
+      "Domain/Atomic/Mutex/Condition only where the allowlist admits them (nowhere in lib/); \
+       the simulator runs on one domain" );
     ( transitive_nondet,
       true,
       "protocol handler / encoder / service execution transitively reaches a nondeterministic \

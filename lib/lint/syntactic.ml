@@ -77,8 +77,8 @@ let classify_ident flat =
   | ("Domain" | "Atomic" | "Mutex" | "Condition") :: _ ->
       Some
         ( Rule.domain_containment,
-          "domain primitive outside the Vpool allowlist; parallelism must stay behind the \
-           verification pool's deterministic-merge boundary" )
+          "domain primitive in lib/; the simulator runs on one domain, so every result is \
+           determined by the seed" )
   | [ "Obj"; "magic" ] -> Some (Rule.unsafe_op, "Obj.magic defeats the type system")
   | [ m; f ] when is_unsafe_access m f ->
       Some (Rule.unsafe_op, "bounds-unchecked access outside the crypto/Paged_image allowlist")
@@ -93,7 +93,7 @@ let classify_module flat =
   | ("Domain" | "Atomic" | "Mutex" | "Condition") :: _ ->
       Some
         ( Rule.domain_containment,
-          "domain primitives brought into scope outside the Vpool allowlist" )
+          "domain primitives brought into scope in lib/" )
   | _ -> None
 
 (* Binding names under which Hashtbl iteration order can reach persisted

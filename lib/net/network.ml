@@ -128,7 +128,6 @@ let set_cpu_factor t ~id f =
   if f <= 0.0 then invalid_arg "Network.set_cpu_factor: factor must be positive";
   (node t id).cpu_factor <- f
 
-let cpu_factor t ~id = (node t id).cpu_factor
 
 let busy_until t ~id = (node t id).busy_until
 let backlog t ~id = Queue.length (node t id).backlog

@@ -58,8 +58,6 @@ val set_cpu_factor : 'msg t -> id:int -> float -> unit
     the [slow_primary] adversary profile. Raises [Invalid_argument] on
     non-positive factors. Reset to [1.0] by {!reset_faults}. *)
 
-val cpu_factor : 'msg t -> id:int -> float
-
 val backlog : 'msg t -> id:int -> int
 (** Number of messages waiting for the node's CPU. Periodic work in the
     protocol layer consults this to yield under overload, like a real

@@ -65,11 +65,6 @@ type t = {
   mutable n_timeouts : int;
   mutable n_ckpt_dirty_pages : int;
   mutable n_ckpt_clean_pages : int;
-  (* verification-pool submissions by this node: batches flushed and items
-     carried (the pool's own global stats — merge hwm, worker share — live
-     in Bft_crypto.Vpool and are joined by the tools at dump time) *)
-  mutable n_vpool_batches : int;
-  mutable n_vpool_items : int;
   (* defenses against Chondros-style "practicality" attacks *)
   mutable n_admission_dropped : int;
   mutable n_retransmit_suppressed : int;
@@ -92,8 +87,6 @@ let make ~enabled ~node ~capacity =
     n_timeouts = 0;
     n_ckpt_dirty_pages = 0;
     n_ckpt_clean_pages = 0;
-    n_vpool_batches = 0;
-    n_vpool_items = 0;
     n_admission_dropped = 0;
     n_retransmit_suppressed = 0;
     n_slowness_vc = 0;
@@ -218,12 +211,6 @@ let checkpoint_taken t ~now ~seq ~bytes ~dirty ~clean =
 
 let batch_formed t ~len = if t.t_enabled then Hist.add t.batch_occ (float_of_int len)
 
-let vpool_submit t ~items =
-  if t.t_enabled then begin
-    t.n_vpool_batches <- t.n_vpool_batches + 1;
-    t.n_vpool_items <- t.n_vpool_items + items
-  end
-
 let admission_drop t ~now ~client =
   if t.t_enabled then begin
     t.n_admission_dropped <- t.n_admission_dropped + 1;
@@ -318,11 +305,6 @@ let snapshot_rejections t = t.n_snapshot_rejected
 let timeouts t = t.n_timeouts
 let checkpoint_dirty_pages t = t.n_ckpt_dirty_pages
 let checkpoint_clean_pages t = t.n_ckpt_clean_pages
-let vpool_batches t = t.n_vpool_batches
-let vpool_items t = t.n_vpool_items
-let admission_dropped t = t.n_admission_dropped
-let retransmit_suppressed t = t.n_retransmit_suppressed
-let slowness_view_changes t = t.n_slowness_vc
 
 let hist_line name h =
   Printf.sprintf "  %-20s count=%-6d mean=%8.1fus p50=%8.1fus p99=%8.1fus max=%8.1fus"
@@ -353,7 +335,6 @@ let summary_lines t =
   @ [
       Printf.sprintf "  retransmissions=%d timeouts=%d snapshot_rejected=%d events=%d"
         t.n_retransmissions t.n_timeouts t.n_snapshot_rejected (Ring.total t.ring);
-      Printf.sprintf "  vpool: batches=%d items=%d" t.n_vpool_batches t.n_vpool_items;
       Printf.sprintf
         "  admission_dropped=%d retransmit_suppressed=%d slowness_view_changes=%d"
         t.n_admission_dropped t.n_retransmit_suppressed t.n_slowness_vc;
@@ -389,9 +370,6 @@ let to_json t =
        (Hist.count t.batch_occ) (Hist.mean_us t.batch_occ)
        (Hist.percentile_us t.batch_occ 0.5)
        (Hist.percentile_us t.batch_occ 0.99) (Hist.max_us t.batch_occ));
-  Buffer.add_string b
-    (Printf.sprintf ", \"vpool\": { \"batches\": %d, \"items\": %d }" t.n_vpool_batches
-       t.n_vpool_items);
   Buffer.add_string b
     (Printf.sprintf
        ", \"admission_dropped\": %d, \"retransmit_suppressed\": %d, \

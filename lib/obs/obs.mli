@@ -118,11 +118,6 @@ val batch_formed : t -> len:int -> unit
 (** One batch formed by the primary carrying [len] requests — feeds the
     batch-occupancy histogram behind the adaptive batch sizer. *)
 
-val vpool_submit : t -> items:int -> unit
-(** One verification-pool flush by this node carrying [items] jobs. The
-    pool's own global counters (merge high-water mark, worker share) live
-    in [Bft_crypto.Vpool.stats] and are joined in at dump time. *)
-
 (** {2 Reading} *)
 
 val events : ?last:int -> t -> entry list
@@ -150,16 +145,6 @@ val timeouts : t -> int
 val checkpoint_dirty_pages : t -> int
 val checkpoint_clean_pages : t -> int
 (** Cumulative page counts across all checkpoints taken. *)
-
-val vpool_batches : t -> int
-val vpool_items : t -> int
-(** Cumulative verification-pool flushes / jobs submitted by this node. *)
-
-val admission_dropped : t -> int
-val retransmit_suppressed : t -> int
-val slowness_view_changes : t -> int
-(** Attack-defense counters (admission control, retransmission budget,
-    primary performance watchdog). *)
 
 val summary_lines : t -> string list
 (** Human-readable per-node metrics block (phase table + counters). *)

@@ -201,37 +201,6 @@ let test_framing_lengths () =
         (hex (Sha256.digest_from_midstate mid msg)))
     (List.init 301 Fun.id @ boundaries)
 
-(* Four domains hash disjoint inputs at once through the one-shot digest
-   and the precomputed-HMAC verify path the Vpool workers run; every byte
-   must match the sequential run (per-domain scratch, noalloc stub). *)
-let test_concurrent_hashing () =
-  let inputs =
-    List.init 4 (fun d ->
-        let pre = Hmac.precompute ~key:(Printf.sprintf "domain-key-%d" d) in
-        let msgs = List.init 150 (fun i -> String.make ((i * 37) mod 1500) (Char.chr (d + i))) in
-        (pre, msgs, List.map (Hmac.mac_truncated_precomputed pre 8) msgs))
-  in
-  let work (pre, msgs, tags) () =
-    List.concat
-      (List.init 20 (fun _ ->
-           List.map2
-             (fun m tag ->
-               let ok = Hmac.verify_precomputed pre ~tag m in
-               let bad = Hmac.verify_precomputed pre ~tag:(String.make 8 '\x00') m in
-               Printf.sprintf "%s/%b/%b" (Sha256.digest m) ok bad)
-             msgs tags))
-  in
-  let sequential = List.map (fun w -> work w ()) inputs in
-  let spawn = (Domain.spawn [@lint.allow "domain-containment"]) in
-  let join = (Domain.join [@lint.allow "domain-containment"]) in
-  let parallel = List.map join (List.map (fun w -> spawn (work w)) inputs) in
-  List.iteri
-    (fun d (s, p) ->
-      Alcotest.(check (list string)) (Printf.sprintf "domain %d" d) s p;
-      Alcotest.(check bool) "verify accepted every tag" true
-        (List.for_all (fun r -> String.ends_with ~suffix:"/true/false" r) s))
-    (List.combine sequential parallel)
-
 (* --- HMAC-SHA256: RFC 4231 vectors --- *)
 
 let test_hmac_rfc4231_case1 () =
@@ -427,6 +396,121 @@ let test_authenticator () =
   Alcotest.(check bool) "1 still accepts" true
     (Auth.verify_authenticator chains.(1) ~peer:0 corrupt msg)
 
+(* Randomized faulty-MAC mixes against an explicit spec oracle. One
+   receiver (id 0) holds session keys from senders 5, 6 and 8; sender 7
+   never exchanged keys. Each item is a MAC, an authenticator or a digest
+   check, possibly made faulty: a corrupt tag, a stale epoch, a dropped
+   own entry, an unkeyed sender or a wrong digest. The oracle recomputes
+   the HMAC under the sender's out-key, then applies the epoch and
+   own-entry rules; digests are checked with the spec SHA-256. *)
+
+let spec_receiver = 0
+let spec_keyed = [ 5; 6; 8 ]
+let spec_unkeyed = 7
+
+(* Keyed senders also hold keys to replicas 1..3, so an authenticator
+   carries other receivers' entries around ours. *)
+let spec_recv, spec_senders =
+  let rng = Bft_util.Rng.create 0xBEEFL in
+  let recv = Keychain.create ~my_id:spec_receiver in
+  let replicas = recv :: List.map (fun id -> Keychain.create ~my_id:id) [ 1; 2; 3 ] in
+  let keyed =
+    List.map
+      (fun s ->
+        let kc = Keychain.create ~my_id:s in
+        List.iter
+          (fun r ->
+            let key = Keychain.fresh_in_key r rng ~peer:s in
+            assert (Keychain.install_out_key kc ~peer:(Keychain.my_id r) key))
+          replicas;
+        (s, kc))
+      spec_keyed
+  in
+  (recv, (spec_unkeyed, Keychain.create ~my_id:spec_unkeyed) :: keyed)
+
+let spec_messages =
+  Array.init 16 (fun i -> Printf.sprintf "payload-%d-%s" i (String.make (i * 7) 'x'))
+
+type spec_item =
+  | S_mac of int * int * bool * bool (* sender, msg#, corrupt?, stale? *)
+  | S_auth of int * int * bool * bool (* sender, msg#, corrupt-our-entry?, drop-our-entry? *)
+  | S_digest of int * bool (* msg#, wrong? *)
+
+let spec_item_to_string = function
+  | S_mac (s, m, c, st) -> Printf.sprintf "mac(s=%d,m=%d,corrupt=%b,stale=%b)" s m c st
+  | S_auth (s, m, c, d) -> Printf.sprintf "auth(s=%d,m=%d,corrupt=%b,drop=%b)" s m c d
+  | S_digest (m, w) -> Printf.sprintf "digest(m=%d,wrong=%b)" m w
+
+let flip_first s = String.mapi (fun i c -> if i = 0 then Char.chr (Char.code c lxor 1) else c) s
+
+(* The spec verdict for one MAC from [sender]: the sender's out-key to us
+   exists, carries the MAC's epoch, and its spec HMAC starts with the tag. *)
+let spec_mac_ok sender (mac : Auth.mac) msg =
+  match Keychain.out_key (List.assoc sender spec_senders) ~peer:spec_receiver with
+  | None -> false
+  | Some key ->
+      key.Keychain.epoch = mac.Auth.epoch
+      && String.equal mac.Auth.tag (String.sub (spec_hmac ~key:key.Keychain.secret msg) 0 Auth.tag_size)
+
+(* (implementation verdict, spec verdict) for one generated item *)
+let spec_verdicts item =
+  match item with
+  | S_mac (s, m, corrupt, stale) ->
+      let msg = spec_messages.(m) in
+      let mac =
+        match Auth.compute_mac (List.assoc s spec_senders) ~peer:spec_receiver msg with
+        | Some mac -> mac
+        | None -> { Auth.tag = String.make Auth.tag_size '\x00'; epoch = 1 }
+      in
+      let mac = if corrupt then { mac with Auth.tag = flip_first mac.Auth.tag } else mac in
+      let mac = if stale then { mac with Auth.epoch = mac.Auth.epoch + 1 } else mac in
+      (Auth.verify_mac spec_recv ~peer:s mac msg, spec_mac_ok s mac msg)
+  | S_auth (s, m, corrupt, drop) ->
+      let msg = spec_messages.(m) in
+      let auth =
+        Auth.compute_authenticator (List.assoc s spec_senders)
+          ~receivers:[ 1; 2; spec_receiver; 3 ] msg
+      in
+      let auth = if corrupt then Auth.corrupt_entry auth spec_receiver else auth in
+      let auth = if drop then List.remove_assoc spec_receiver auth else auth in
+      let spec =
+        match List.assoc_opt spec_receiver auth with
+        | None -> false
+        | Some mac -> spec_mac_ok s mac msg
+      in
+      (Auth.verify_authenticator spec_recv ~peer:s auth msg, spec)
+  | S_digest (m, wrong) ->
+      let msg = spec_messages.(m) in
+      let expect = Sha256.digest msg in
+      let expect = if wrong then flip_first expect else expect in
+      ( String.equal expect (Sha256.digest msg),
+        String.equal (Bft_util.Hex.encode expect) (spec_sha256 msg) )
+
+let prop_verify_spec =
+  let gen_item =
+    let open QCheck.Gen in
+    let sender = oneofl (spec_unkeyed :: spec_keyed) in
+    let msg = int_bound (Array.length spec_messages - 1) in
+    oneof
+      [
+        map (fun (s, m, c, st) -> S_mac (s, m, c, st)) (quad sender msg bool bool);
+        map (fun (s, m, c, d) -> S_auth (s, m, c, d)) (quad sender msg bool bool);
+        map (fun (m, w) -> S_digest (m, w)) (pair msg bool);
+      ]
+  in
+  QCheck.Test.make ~count:120 ~name:"verify_mac/verify_authenticator = spec (faulty mixes)"
+    (QCheck.make
+       ~print:(fun items -> String.concat "; " (List.map spec_item_to_string items))
+       QCheck.Gen.(list_size (int_bound 24) gen_item))
+    (fun items ->
+      List.for_all
+        (fun item ->
+          let got, want = spec_verdicts item in
+          got = want
+          || QCheck.Test.fail_reportf "%s: verify %b, spec %b" (spec_item_to_string item) got
+               want)
+        items)
+
 (* --- Group-derived keys (million-client cohorts) --- *)
 
 let test_group_keys () =
@@ -451,32 +535,6 @@ let test_group_keys () =
   Alcotest.(check bool) "pairwise key shadows group" false
     (Auth.verify_mac replica ~peer:client mac msg);
   ignore k
-
-let test_group_derivation_shared_across_flush () =
-  (* satellite: one key-block derivation per sender per verify_batch flush —
-     the per-flush memo must reuse the derived midstates for every item *)
-  let g = Keychain.group ~first:10 ~last:9_999 ~secret:"s" in
-  let replica = Keychain.create ~my_id:0 in
-  Keychain.set_group replica g;
-  let sender = 4_242 in
-  let _, pre = Keychain.group_derive g ~src:sender ~dst:0 in
-  let items =
-    Array.init 8 (fun i ->
-        let msg = Printf.sprintf "op-%d" i in
-        let mac =
-          { Auth.tag = Hmac.mac_truncated_precomputed pre Auth.tag_size msg; epoch = 1 }
-        in
-        Auth.Item_mac { peer = sender; mac; msg })
-  in
-  let before = Keychain.group_derivations g in
-  let verdicts = Auth.verify_batch replica items in
-  Alcotest.(check (array bool)) "all verify" (Array.make 8 true) verdicts;
-  Alcotest.(check int) "one derivation for the whole flush" (before + 1)
-    (Keychain.group_derivations g);
-  (* single-item fast path still derives exactly once *)
-  let one = [| items.(0) |] in
-  Alcotest.(check (array bool)) "singleton verifies" [| true |] (Auth.verify_batch replica one);
-  Alcotest.(check int) "singleton derives once" (before + 2) (Keychain.group_derivations g)
 
 (* --- Signatures --- *)
 
@@ -546,7 +604,6 @@ let suites =
         QCheck_alcotest.to_alcotest (kernel_prop "portable kernel = spec" compress_portable);
         Alcotest.test_case "sha-ni kernel = spec" `Quick test_kernel_shani;
         Alcotest.test_case "framing lengths" `Quick test_framing_lengths;
-        Alcotest.test_case "4 domains concurrent" `Quick test_concurrent_hashing;
       ] );
     ( "crypto.hmac",
       [
@@ -576,8 +633,7 @@ let suites =
         Alcotest.test_case "stale new-key rejected" `Quick test_stale_new_key_rejected;
         Alcotest.test_case "authenticator" `Quick test_authenticator;
         Alcotest.test_case "group-derived keys" `Quick test_group_keys;
-        Alcotest.test_case "group derivation shared per flush" `Quick
-          test_group_derivation_shared_across_flush;
+        QCheck_alcotest.to_alcotest prop_verify_spec;
       ] );
     ( "crypto.signature",
       [
