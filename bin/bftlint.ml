@@ -1,10 +1,11 @@
 (* bftlint — static-analysis gate over this repo's sources.
 
    Syntactic rules run on a parse of each .ml file; type-aware and
-   whole-program (call-graph / effect / pool-escape) rules run on the
-   .cmt files dune emits, so run it from a tree where the libraries are
-   built (dune build @lint does exactly that). Exit codes: 0 clean,
-   1 findings, 2 scan errors or usage errors (e.g. malformed --allow). *)
+   whole-program (call-graph / effect / pool-escape / dead-export) rules
+   run on the .cmt and .cmti files dune emits, so run it from a tree
+   where every unit is built, @check included (dune build @lint does
+   exactly that). Exit codes: 0 clean, 1 findings, 2 scan errors or
+   usage errors (e.g. malformed --allow). *)
 
 open Cmdliner
 
@@ -54,8 +55,14 @@ let root =
   Arg.(value & opt string "." & info [ "root" ] ~docv:"DIR" ~doc)
 
 let paths =
-  let doc = "Paths under $(b,--root) to scan." in
-  Arg.(value & pos_all string [ "lib" ] & info [] ~docv:"PATH" ~doc)
+  let doc =
+    "Paths under $(b,--root) to scan. $(b,perfbench) and $(b,examples) are read only as use \
+     sites of lib/'s exports (dead-export); the default is the whole tree."
+  in
+  Arg.(
+    value
+    & pos_all string [ "lib"; "bin"; "bench"; "test"; "perfbench"; "examples" ]
+    & info [] ~docv:"PATH" ~doc)
 
 let format =
   let doc = "Output format: $(b,text), $(b,json) or $(b,sarif)." in

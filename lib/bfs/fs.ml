@@ -241,13 +241,6 @@ let set_mtime t ~ino ~mtime =
       sync_inode t ino;
       Ok ()
 
-let num_inodes t = Hashtbl.length t.inodes
-
-let total_bytes t =
-  Hashtbl.fold
-    (fun _ n acc -> match n with File f -> acc + String.length f.content | Dir _ -> acc)
-    t.inodes 0
-
 (* Flat snapshot format: one line per inode, sorted by number, with
    hex-encoded file contents so the encoding is unambiguous. *)
 let flat_snapshot t =

@@ -120,8 +120,6 @@ type t = {
 let completed t = t.completed
 let issued t = t.issued
 let latency_hist t = t.lat
-let group_of t = t.group
-let base_id t = t.base
 
 let replica_ids t = Config.replica_ids t.cfg
 let primary t = Config.primary t.cfg ~view:t.view_guess

@@ -102,13 +102,6 @@ val latency_hist : t -> Bft_obs.Hist.t
 (** Issue-to-reply-certificate latency of completed operations, in
     microseconds of virtual time (both key modes). *)
 
-val base_id : t -> int
-(** First synthesized client id (derived mode); the range is
-    [base_id .. base_id + k - 1]. *)
-
-val group_of : t -> Bft_crypto.Keychain.group option
-(** The key group (derived mode only) — test observation helper. *)
-
 val reset_cpu : t -> unit
 (** Re-apply the cohort's aggregate CPU scaling after
     {!Bft_net.Network.reset_faults} (which resets per-node factors); no-op

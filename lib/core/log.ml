@@ -23,7 +23,6 @@ type t = { cfg : Config.t; mutable h : int; mutable slots : entry option array }
 
 let create cfg = { cfg; h = 0; slots = [||] }
 let low_mark t = t.h
-let config t = t.cfg
 let in_window t n = Config.in_window t.cfg ~h:t.h n
 
 (* in-window sequence numbers are > h >= 0, so the remainder is a slot *)

@@ -34,7 +34,6 @@ type t
 
 val create : Config.t -> t
 val low_mark : t -> int
-val config : t -> Config.t
 
 val entry : t -> int -> entry option
 (** [None] when the sequence number is outside the water marks. *)

@@ -138,7 +138,7 @@ type t = {
   acks : (int * int, (int, string) Hashtbl.t) Hashtbl.t;
       (* (view, origin) -> acker -> digest *)
   my_acks : (int, view_change_ack list) Hashtbl.t; (* view -> acks we sent *)
-  mutable new_views : (int, new_view) Hashtbl.t; (* view -> accepted/sent new-view *)
+  new_views : (int, new_view) Hashtbl.t; (* view -> accepted/sent new-view *)
   mutable vc_timer : Engine.handle option;
   mutable vc_timeout_us : float;
   mutable deferred_nv : new_view option; (* waiting for vcs or batches *)
@@ -159,9 +159,6 @@ type t = {
   mutable recovering : recovery option;
   mutable hm_bound : int; (* don't send protocol messages above this while recovering *)
   mutable coproc_counter : int64;
-  mutable last_recovery_reply : (int, int64) Hashtbl.t; (* replica -> counter seen *)
-  (* execution history for linearizability checks *)
-  mutable history : (int * int * string * string) list; (* newest first *)
   (* per-batch execution journal, newest first: every call to
      [execute_batch] appends one record (empty list for null batches), so
      after a view-change rollback the *last* record per sequence number is
@@ -176,16 +173,11 @@ type t = {
   (* primary fills with null batches until this checkpoint is stable, so a
      recovering replica's recovery point can be reached (Section 4.3.2) *)
   mutable null_fill_until : int;
-  (* timers *)
-  mutable status_timer : Engine.handle option;
-  mutable watchdog_timer : Engine.handle option;
-  mutable key_timer : Engine.handle option;
 }
 
 let id t = t.id
 let view t = t.view
 let keychain t = t.d.keychain
-let is_active t = t.active
 let last_executed t = t.last_exec
 let committed_upto t = t.committed_upto
 let stable_checkpoint t = Checkpoint_store.stable_seq t.ckpts
@@ -194,7 +186,6 @@ let checkpoints_held t = Checkpoint_store.held t.ckpts
 let is_recovering t = t.recovering <> None
 let counters t = t.counters
 let service_state t = t.d.service.Bft_sm.Service.snapshot ()
-let executed_ops t = List.rev t.history
 let executed_batches t = List.rev t.batch_journal
 let primary_of t v = Config.primary t.d.cfg ~view:v
 let primary t = primary_of t t.view
@@ -838,7 +829,6 @@ let execute_batch t n ~tentative =
                   end
                 in
                 t.counters.n_executed <- t.counters.n_executed + 1;
-                t.history <- (n, req.client, req.op, result) :: t.history;
                 wave := (req.client, req.op, result) :: !wave;
                 t.last_reply <- Int_map.add req.client (req.timestamp, result, t.view) t.last_reply;
                 clear_waiting t (Wire.request_digest req);
@@ -2632,16 +2622,11 @@ let create ?(obs = Obs.null) d ~id =
       recovering = None;
       hm_bound = max_int;
       coproc_counter = 0L;
-      last_recovery_reply = Hashtbl.create 4;
-      history = [];
       batch_journal = [];
       byzantine = false;
       muted = false;
       wrong_mac = false;
       null_fill_until = 0;
-      status_timer = None;
-      watchdog_timer = None;
-      key_timer = None;
     }
   in
   Network.add_node d.net ~id ~handler:(fun env -> handle t env);
@@ -2650,25 +2635,22 @@ let create ?(obs = Obs.null) d ~id =
   t
 
 let rec schedule_status t =
-  t.status_timer <-
-    Some
-      (timer t "status" t.d.cfg.Config.status_interval_us (fun () ->
-           send_status t;
-           schedule_status t))
+  ignore
+    (timer t "status" t.d.cfg.Config.status_interval_us (fun () ->
+         send_status t;
+         schedule_status t))
 
 let rec schedule_watchdog t delay_us =
-  t.watchdog_timer <-
-    Some
-      (timer t "wd" delay_us (fun () ->
-           begin_recovery t;
-           schedule_watchdog t t.d.cfg.Config.watchdog_period_us))
+  ignore
+    (timer t "wd" delay_us (fun () ->
+         begin_recovery t;
+         schedule_watchdog t t.d.cfg.Config.watchdog_period_us))
 
 let rec schedule_key_refresh t =
-  t.key_timer <-
-    Some
-      (timer t "key" t.d.cfg.Config.key_refresh_us (fun () ->
-           send_new_key t;
-           schedule_key_refresh t))
+  ignore
+    (timer t "key" t.d.cfg.Config.key_refresh_us (fun () ->
+         send_new_key t;
+         schedule_key_refresh t))
 
 let start t =
   schedule_status t;
@@ -2685,16 +2667,6 @@ let start t =
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                      *)
 (* ------------------------------------------------------------------ *)
-
-let debug_dump t =
-  Printf.sprintf
-    "r%d v=%d act=%b le=%d cu=%d seqno=%d stable=%d q=%d wait=%d defpp=%d nv=%b rec=%b hm=%d fill=%d"
-    t.id t.view t.active t.last_exec t.committed_upto t.seqno
-    (Checkpoint_store.stable_seq t.ckpts) t.queue_len (Pipeline.waiting_count t.pipeline)
-    (List.length t.deferred_pps)
-    (t.deferred_nv <> None) (t.recovering <> None)
-    (if t.hm_bound = max_int then -1 else t.hm_bound)
-    t.null_fill_until
 
 let byzantine_equivocate t b = t.byzantine <- b
 let mute t b = t.muted <- b

@@ -48,9 +48,6 @@ val keychain : t -> Bft_crypto.Keychain.t
     {!Bft_crypto.Keychain.group} on it to stand in for the pairwise keys
     of cohort-simulated clients. *)
 
-val is_active : t -> bool
-(** Normal-case operation in the current view (not mid view-change). *)
-
 val last_executed : t -> int
 val committed_upto : t -> int
 val stable_checkpoint : t -> int
@@ -79,12 +76,6 @@ val restore_snapshot : t -> string -> (unit, string) result
     and reply-cache records are validated before anything is mutated: a
     malformed snapshot returns [Error reason], counts as a rejected
     snapshot in the metrics, and leaves the replica state untouched. *)
-
-val executed_ops : t -> (int * int * string * string) list
-(** History of executed operations as [(seq, client, op, result)], oldest
-    first — the observable commit order used by linearizability checks.
-    Re-executions after a rollback are recorded again; consumers compare
-    committed prefixes. *)
 
 val executed_batches : t -> (int * (int * string * string) list) list
 (** Per-batch execution journal, oldest first: one
@@ -142,9 +133,6 @@ type counters = {
 }
 
 val counters : t -> counters
-
-val debug_dump : t -> string
-(** One-line internal state rendering for debugging and tests. *)
 
 val state_digest : t -> string
 (** Canonical, time-abstract fingerprint of the replica's protocol state

@@ -335,7 +335,6 @@ let tagged_digest tag s =
   A.add_string scratch s;
   A.digest scratch
 
-let checkpoint_value_digest s = tagged_digest "CKPT" s
 let result_digest s = tagged_digest "RES" s
 
 (* ------------------------------------------------------------------ *)

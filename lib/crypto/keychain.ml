@@ -80,7 +80,6 @@ let install_out_key t ~peer key =
   else false
 
 let out_key t ~peer = Hashtbl.find_opt t.out_keys peer
-let in_key t ~peer = Hashtbl.find_opt t.in_keys peer
 
 let precomputed cache keys ~peer =
   match Hashtbl.find_opt keys peer with
@@ -126,7 +125,3 @@ let in_epoch t ~peer =
 let drop_all_in_keys t =
   Hashtbl.reset t.in_keys;
   Hashtbl.reset t.in_pre
-
-let peers_with_out_keys t =
-  Hashtbl.fold (fun peer _ acc -> peer :: acc) t.out_keys []
-  |> List.sort_uniq compare

@@ -30,16 +30,14 @@ val install_out_key : t -> peer:int -> key -> bool
 val out_key : t -> peer:int -> key option
 (** Current key for authenticating messages we send to [peer]. *)
 
-val in_key : t -> peer:int -> key option
-(** Current key [peer] should be using to send to us. *)
-
 val out_key_pre : t -> peer:int -> (key * Hmac.precomputed) option
 (** Like {!out_key}, paired with the cached HMAC key-block midstates for
     that key. The cache is invalidated automatically when a key with a
     newer epoch is installed. *)
 
 val in_key_pre : t -> peer:int -> (key * Hmac.precomputed) option
-(** Like {!in_key}, with cached midstates (see {!out_key_pre}). *)
+(** The key [peer] should be using to send to us, with cached midstates
+    (see {!out_key_pre}). *)
 
 val in_epoch : t -> peer:int -> int
 (** Epoch of the current in-key for [peer]; 0 when none. Peers covered
@@ -80,5 +78,3 @@ val group_of : t -> group option
 val drop_all_in_keys : t -> unit
 (** Forget every in-key (used on recovery: the old keys may be known to an
     attacker, so all peers are forced to obtain fresh keys). *)
-
-val peers_with_out_keys : t -> int list

@@ -5,8 +5,6 @@
    from the source string, so this module only frames the input: block
    runs, the buffered partial block, and the padded tail. *)
 
-let digest_size = 32
-
 (* [compress h8 s off n] compresses the [n] blocks at [s.[off ..
    off + 64n - 1]] into [h8]. Callers guarantee the range is in bounds. *)
 external compress : int array -> string -> (int[@untagged]) -> (int[@untagged]) -> unit
@@ -28,10 +26,6 @@ type ctx = {
 }
 
 let init () = { h = iv (); buf = Bytes.create 64; buf_len = 0; total = 0L }
-
-(* Snapshot a midstate (HMAC key-block precomputation): the copy owns fresh
-   buffers so feeding it never mutates the original. *)
-let copy ctx = { ctx with h = Array.copy ctx.h; buf = Bytes.copy ctx.buf }
 
 let feed_sub ctx s pos len =
   if pos < 0 || len < 0 || pos + len > String.length s then

@@ -111,11 +111,6 @@ type outcome = {
           (modulo the documented abstractions) was visited *)
 }
 
-val build_params : config -> Bft_check.Runner.params
-(** The runner parameters exploration builds states with: free costs, no
-    quiesce, gate-friendly status interval, safety oracles only. Exposed
-    so tests can replay explorer schedules under identical conditions. *)
-
 val run : ?log:(string -> unit) -> config -> outcome
 (** Explore. [log] receives occasional one-line progress notes. *)
 

@@ -1,8 +1,9 @@
 (* Driver: run the syntactic rules over [.ml] sources, the type-aware
    rules over the [.cmt] files dune leaves under [.objs/byte], then the
-   whole-program pass (call graph -> effect fixpoint -> pool escape)
-   over every loaded typedtree at once; apply the per-directory
-   allowlist and report sorted findings. *)
+   whole-program pass (call graph -> effect fixpoint -> pool escape,
+   and the dead-export check of lib/'s [.cmti] interfaces) over every
+   loaded typedtree at once; apply the per-directory allowlist and
+   report sorted findings. *)
 
 (* Built-in per-directory allowlist: unchecked accesses are the point of
    the crypto kernels and the arenas. No domain primitive is allowed
@@ -72,6 +73,14 @@ let load_cmt path =
         }
   | _ -> None
 
+(* The exports of one [.cmti] file whose source is an interface in lib/. *)
+let load_cmti path =
+  let cmt = Cmt_format.read_cmt path in
+  match (cmt.Cmt_format.cmt_annots, cmt.Cmt_format.cmt_sourcefile) with
+  | Cmt_format.Interface sg, Some src when String.starts_with ~prefix:"lib/" src ->
+      Dead_export.of_signature ~owner:cmt.Cmt_format.cmt_modname sg
+  | _ -> []
+
 (* The whole-program pass: build the cross-module call graph, run the
    effect fixpoint, then the transitive-nondet and pool escape rules. *)
 let interprocedural units =
@@ -108,24 +117,32 @@ let lint_source ~filename src =
   let syntactic = Syntactic.lint str in
   match typecheck str with
   | Ok tstr ->
-      let unit =
-        { Callgraph.u_name = modname_of_filename filename; u_file = filename; u_str = tstr }
+      let unit_name = modname_of_filename filename in
+      let unit = { Callgraph.u_name = unit_name; u_file = filename; u_str = tstr } in
+      let dead =
+        Dead_export.findings ~exports:(Dead_export.of_structure ~unit_name tstr) [ unit ]
       in
-      ( List.sort Finding.compare_pos (syntactic @ Typed.lint tstr @ interprocedural [ unit ]),
+      ( List.sort Finding.compare_pos
+          (syntactic @ Typed.lint tstr @ interprocedural [ unit ] @ dead),
         Ok () )
   | Error e -> (List.sort Finding.compare_pos syntactic, Error e)
 
-(* Walk [root/path] collecting sources and cmt artifacts. Sources are
-   reported relative to [root]; directory order is sorted so runs are
-   deterministic. [.cmti] files (interfaces) carry no expressions worth
-   checking; wrapper/alias cmts are harmless to scan. Paths matching
-   [exclude] (substring) are skipped — the lint-fixture corpus violates
-   the rules on purpose. *)
+(* Walk [root/path] collecting sources, cmt and cmti artifacts. Sources
+   are reported relative to [root]; directory order is sorted so runs are
+   deterministic. [.cmti] files (interfaces) carry no expressions, only
+   the exports the dead-export check needs; wrapper/alias cmts are
+   harmless to scan. Paths matching [exclude] (substring) are skipped —
+   the lint-fixture corpus violates the rules on purpose. *)
 let default_exclude = [ "lint_fixtures" ]
+
+(* Top-level paths whose code is read only as use sites of lib/'s
+   exports: the benchmark and the examples are not linted themselves,
+   but a value they call is not dead. *)
+let use_site_only = [ "perfbench"; "examples" ]
 
 let gather ?(exclude = default_exclude) ~root paths =
   let excluded rel = List.exists (fun e -> contains_sub rel e) exclude in
-  let mls = ref [] and cmts = ref [] in
+  let mls = ref [] and cmts = ref [] and cmtis = ref [] in
   let rec walk rel =
     let full = Filename.concat root rel in
     if excluded rel then ()
@@ -137,9 +154,10 @@ let gather ?(exclude = default_exclude) ~root paths =
          names)
     else if String.ends_with ~suffix:".ml" rel then mls := rel :: !mls
     else if String.ends_with ~suffix:".cmt" rel then cmts := rel :: !cmts
+    else if String.ends_with ~suffix:".cmti" rel then cmtis := rel :: !cmtis
   in
   List.iter (fun p -> if Sys.file_exists (Filename.concat root p) then walk p) paths;
-  (List.rev !mls, List.rev !cmts)
+  (List.rev !mls, List.rev !cmts, List.rev !cmtis)
 
 type run = {
   findings : Finding.t list;
@@ -149,12 +167,18 @@ type run = {
 }
 
 (* Lint a tree: syntactic rules over every [.ml], typed rules over every
-   [.cmt], the whole-program pass over all loaded units together, and
-   the allowlist applied to everything. [allow] extends the built-in
-   per-directory allowlist with (path-prefix, rule-id) pairs. *)
+   [.cmt], the whole-program pass over all loaded units together, the
+   dead-export check of lib/'s interfaces against every unit (those under
+   [use_site_only] paths included), and the allowlist applied to
+   everything. [allow] extends the built-in per-directory allowlist with
+   (path-prefix, rule-id) pairs. *)
 let lint_tree ?(allow = []) ?exclude ~root paths =
   let allowlist = allow @ default_allowlist in
-  let mls, cmts = gather ?exclude ~root paths in
+  let use_paths, lint_paths =
+    List.partition (fun p -> List.mem (Filename.basename p) use_site_only) paths
+  in
+  let mls, cmts, cmtis = gather ?exclude ~root lint_paths in
+  let _, use_cmts, _ = gather ?exclude ~root use_paths in
   let errors = ref [] in
   let of_ml rel =
     match lint_ml_file ~path:(Filename.concat root rel) rel with
@@ -163,19 +187,28 @@ let lint_tree ?(allow = []) ?exclude ~root paths =
         errors := Printf.sprintf "%s: %s" rel (Printexc.to_string exn) :: !errors;
         []
   in
+  let load f ~default rel =
+    match f (Filename.concat root rel) with
+    | x -> x
+    | exception exn ->
+        errors := Printf.sprintf "%s: %s" rel (Printexc.to_string exn) :: !errors;
+        default
+  in
   let units = ref [] in
   let of_cmt rel =
-    match load_cmt (Filename.concat root rel) with
+    match load load_cmt ~default:None rel with
     | Some u ->
         units := u :: !units;
         Typed.lint u.Callgraph.u_str
     | None -> []
-    | exception exn ->
-        errors := Printf.sprintf "%s: %s" rel (Printexc.to_string exn) :: !errors;
-        []
   in
   let raw = List.concat_map of_ml mls @ List.concat_map of_cmt cmts in
-  let raw = raw @ interprocedural (List.rev !units) in
+  let units = List.rev !units in
+  let use_units = List.filter_map (load load_cmt ~default:None) use_cmts in
+  let exports = List.concat_map (load load_cmti ~default:[]) cmtis in
+  let raw =
+    raw @ interprocedural units @ Dead_export.findings ~exports (units @ use_units)
+  in
   let findings =
     List.sort Finding.compare_pos (List.filter (fun f -> not (allowed_by allowlist f)) raw)
   in

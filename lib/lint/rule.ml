@@ -18,6 +18,7 @@ let transitive_nondet = "transitive-nondet"
 let pool_escape = "pool-escape"
 let mutable_global = "mutable-global"
 let pure_annotation = "pure-annotation"
+let dead_export = "dead-export"
 
 (* id, type-aware?, one-line rationale (the DESIGN.md catalogue mirrors
    this list; test_lint checks every id here has a fixture). *)
@@ -60,6 +61,10 @@ let all =
       true,
       "[@@lint.pure] exempts a C stub from the effect pass's top widening only with a \
        non-empty audit reason; an unexplained exemption would hide the stub's effects" );
+    ( dead_export,
+      true,
+      "an .mli value in lib/ that no other compilation unit (lib, bin, bench, test, perfbench, \
+       examples) references is dead; delete it or keep it with [@@lint.allow] and a reason" );
   ]
 
 let ids = List.map (fun (id, _, _) -> id) all

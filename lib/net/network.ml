@@ -9,7 +9,7 @@ type stat = {
 }
 
 type 'msg node = {
-  mutable handler : 'msg -> unit;
+  handler : 'msg -> unit;
   mutable busy_until : Engine.time;
   mutable crashed : bool;
   (* messages that arrived while the CPU was busy, FIFO *)
@@ -115,8 +115,6 @@ let add_node_range t ~first ~last ~handler =
     }
   in
   t.ranges <- (first, last, n) :: t.ranges
-
-let set_handler t ~id ~handler = (node t id).handler <- handler
 
 let charge t ~id us =
   let n = node t id in
@@ -293,14 +291,12 @@ let set_link_loss t ~src ~dst p =
   if p <= 0.0 then Hashtbl.remove t.link_loss (src, dst)
   else Hashtbl.replace t.link_loss (src, dst) p
 
-let clear_link_loss t = Hashtbl.reset t.link_loss
 let set_adversary t f = t.adversary <- Some f
 let clear_adversary t = t.adversary <- None
 
 (* --- delivery gate (exhaustive exploration, PR 6) --- *)
 
 let set_gate t on = t.gate <- on
-let gate_on t = t.gate
 let held t = List.map (fun (src, dst, _, msg) -> (src, dst, msg)) t.held
 
 let release_held t ~nth ~pred =

@@ -18,16 +18,12 @@
 type t = {
   mutable buf : Bytes.t;
   mutable len : int;
-  mutable hwm : int;  (* largest encode since creation *)
-  mutable grows : int;  (* backing-buffer reallocations *)
 }
 
 let create ?(size = 256) () =
-  { buf = Bytes.create (max 16 size); len = 0; hwm = 0; grows = 0 }
+  { buf = Bytes.create (max 16 size); len = 0 }
 
 let length t = t.len
-let high_water t = t.hwm
-let grow_count t = t.grows
 
 let reset t = t.len <- 0
 
@@ -38,13 +34,11 @@ let grow t needed =
   done;
   let fresh = Bytes.create !cap in
   Bytes.blit t.buf 0 fresh 0 t.len;
-  t.buf <- fresh;
-  t.grows <- t.grows + 1
+  t.buf <- fresh
 
 let ensure t extra =
   let needed = t.len + extra in
-  if needed > Bytes.length t.buf then grow t needed;
-  if needed > t.hwm then t.hwm <- needed
+  if needed > Bytes.length t.buf then grow t needed
 
 let add_char t c =
   ensure t 1;

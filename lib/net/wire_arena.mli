@@ -32,11 +32,3 @@ val contents : t -> string
 val digest : t -> string
 (** SHA-256 of the bytes written since the last [reset], computed straight
     off the backing buffer (no intermediate string). *)
-
-(** {2 Counters} (for observability) *)
-
-val high_water : t -> int
-(** Largest encode since creation. *)
-
-val grow_count : t -> int
-(** Backing-buffer reallocations since creation (0 once warmed up). *)

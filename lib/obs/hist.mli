@@ -29,12 +29,6 @@ val max_us : t -> float
 val bucket_index : float -> int
 (** The bucket a value falls into (exposed for tests). *)
 
-val bucket_upper_us : int -> float
-(** Inclusive upper bound of bucket [i] in microseconds; [infinity] for
-    the last bucket. *)
-
-val bucket_count : t -> int -> int
-
 val percentile_us : t -> float -> float
 (** [percentile_us t 0.99]: upper bound of the bucket holding the p-th
     quantile; 0 when empty. For the open-ended last bucket the exact

@@ -23,12 +23,6 @@
 
 type phase = Preprepared | Prepared | Committed | Executed | Replied
 
-val phase_index : phase -> int
-(** 0..4 in pipeline order. *)
-
-val phase_name : int -> string
-(** Name of the interval ending at phase [i], e.g. ["req->preprep"]. *)
-
 type event =
   | Request_arrival of { client : int; digest : string }
   | Phase_transition of { phase : phase; view : int; seq : int }
@@ -62,7 +56,6 @@ val null : t
 (** The shared disabled sink: every record call is a no-op. *)
 
 val enabled : t -> bool
-val node : t -> int
 
 (** {2 Recording} — all no-ops on a disabled [t].
 
@@ -126,30 +119,20 @@ val events : ?last:int -> t -> entry list
 val entry_to_string : entry -> string
 
 val phase_hist : t -> int -> Hist.t
-(** Histogram of pipeline interval [i] (see {!phase_name}), 0..4. *)
+(** Histogram of pipeline interval [i], 0..4: req->preprep,
+    preprep->prepared, prepared->committed, committed->executed,
+    executed->replied. *)
 
 val e2e_hist : t -> Hist.t
-
-val checkpoint_bytes_hist : t -> Hist.t
-(** Bytes digested per checkpoint. The histogram machinery is shared with
-    the latency histograms, so the [_us] accessors on it read as plain
-    bytes. *)
 
 val batch_occupancy_hist : t -> Hist.t
 (** Requests per batch formed at the primary (values are counts, not us). *)
 
-val retransmissions : t -> int
 val snapshot_rejections : t -> int
 val timeouts : t -> int
 
-val checkpoint_dirty_pages : t -> int
-val checkpoint_clean_pages : t -> int
-(** Cumulative page counts across all checkpoints taken. *)
-
 val summary_lines : t -> string list
 (** Human-readable per-node metrics block (phase table + counters). *)
-
-val to_json : t -> string
 
 (** {2 Registry} — one [t] per node id, created on demand. *)
 

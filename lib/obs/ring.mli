@@ -10,8 +10,6 @@ type 'a t
 val create : int -> 'a t
 (** [create cap] is an empty ring of capacity [cap] (at least 1). *)
 
-val capacity : 'a t -> int
-
 val length : 'a t -> int
 (** Elements currently held, at most [capacity]. *)
 

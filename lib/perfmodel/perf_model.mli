@@ -33,4 +33,3 @@ val throughput_ops : costs:Bft_net.Costs.t -> cfg:Bft_core.Config.t -> workload 
 val request_size : cfg:Bft_core.Config.t -> arg_size:int -> int
 val reply_size : cfg:Bft_core.Config.t -> result_size:int -> full:bool -> int
 val pre_prepare_size : cfg:Bft_core.Config.t -> arg_size:int -> batch:int -> int
-val prepare_size : cfg:Bft_core.Config.t -> int

@@ -316,7 +316,6 @@ let run_while t ?until pred =
   in
   loop ()
 
-let ns n = Int64.of_int n
 let us n = Int64.of_int (n * 1_000)
 let ms n = Int64.of_int (n * 1_000_000)
 let sec n = Int64.of_int (n * 1_000_000_000)

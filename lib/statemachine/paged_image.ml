@@ -23,7 +23,6 @@ let header_bytes used = Printf.sprintf "ARENA %012d\n" used
 
 let num_pages t = Bytes.length t.buf / t.page_size
 let page_size t = t.page_size
-let used_bytes t = t.used
 
 let touch t pg =
   Hashtbl.replace t.dirty pg ();

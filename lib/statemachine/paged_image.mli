@@ -47,8 +47,6 @@ val iter : t -> (string -> string -> unit) -> unit
     state from it. *)
 
 val page_size : t -> int
-val num_pages : t -> int
-val used_bytes : t -> int
 
 val pages : t -> string array
 (** The current image as full pages, each exactly [page_size] bytes.
@@ -59,8 +57,6 @@ val drain_dirty : t -> int list
 (** Sorted indices of pages whose bytes changed since the previous drain
     (over-approximation: a page rewritten with identical bytes is not
     reported). Clears the set. *)
-
-val mark_all_dirty : t -> unit
 
 val reset : t -> unit
 (** Empty the arena and shrink it back to one page — used when a service

@@ -23,7 +23,3 @@ let decode h =
   if n mod 2 <> 0 then invalid_arg "Hex.decode: odd length";
   String.init (n / 2) (fun i ->
       Char.chr ((nibble h.[2 * i] lsl 4) lor nibble h.[(2 * i) + 1]))
-
-let short ?(len = 8) d =
-  let h = encode d in
-  if String.length h <= len then h else String.sub h 0 len

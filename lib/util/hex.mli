@@ -7,7 +7,3 @@ val encode : string -> string
 val decode : string -> string
 (** [decode h] inverts {!encode}. Raises [Invalid_argument] if [h] has odd
     length or contains a non-hex character. *)
-
-val short : ?len:int -> string -> string
-(** [short d] is a truncated hex prefix of digest [d], for logs. Default
-    [len] is 8 hex characters. *)

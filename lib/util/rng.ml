@@ -3,7 +3,6 @@ type t = { mutable state : int64 }
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = seed }
-let copy t = { state = t.state }
 
 (* splitmix64 finalizer: well-distributed even for sequential seeds. *)
 let mix z =

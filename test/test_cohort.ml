@@ -114,6 +114,49 @@ let test_derived_deterministic () =
   Alcotest.(check string) "same digest on same seed" a.Runner.history_digest
     b.Runner.history_digest
 
+(* The latency-vs-offered-load curve of a 10^6-client derived cohort:
+   open-loop Poisson arrivals, adaptive batching on, 250 ops per rate,
+   stopped the moment the last op commits. Every row is virtual-time, so
+   each pins the committed ops and the virtual time they took; throughput
+   follows the offered rate up to the 50k/vs peak of 14,384 ops/vs. *)
+let curve_pins =
+  [
+    (2_000.0, 250, 131_730_590L);
+    (5_000.0, 250, 56_222_006L);
+    (10_000.0, 250, 31_752_040L);
+    (20_000.0, 250, 21_186_301L);
+    (50_000.0, 250, 17_380_268L);
+  ]
+
+let test_million_client_curve_pinned () =
+  List.iter
+    (fun (rate, ops, vtime) ->
+      let p =
+        {
+          (Runner.default_params ~seed:2 ~f:1) with
+          Runner.adaptive_batch = true;
+          cohort =
+            Some
+              {
+                Cohort.k = 1_000_000;
+                arrival = Open { rate_per_sec = rate; total_ops = 250 };
+                keys = Derived;
+              };
+        }
+      in
+      let lv = Runner.prepare p [] in
+      let cluster = lv.Runner.lv_cluster in
+      ignore
+        (Bft_core.Cluster.run_until ~timeout_us:(p.Runner.horizon_us +. p.Runner.drain_us)
+           cluster (fun () -> !(lv.Runner.lv_n_completed) >= lv.Runner.lv_total_ops));
+      let r = Runner.finish lv in
+      let row = Printf.sprintf "offered %.0f/vs" rate in
+      Alcotest.(check (list string)) (row ^ ": oracles") [] r.Runner.failures;
+      Alcotest.(check int) (row ^ ": committed ops") ops r.Runner.completed_ops;
+      Alcotest.(check int64) (row ^ ": virtual ns") vtime
+        (Bft_sim.Engine.now (Bft_core.Cluster.engine cluster)))
+    curve_pins
+
 let test_derived_rejects_sig_auth () =
   (* derived cohorts synthesize MAC authenticators; there is no way to
      stand in for per-client signing keys *)
@@ -384,6 +427,8 @@ let suites =
         Alcotest.test_case "derived open loop" `Quick test_derived_open_loop_completes;
         Alcotest.test_case "derived bursty" `Quick test_derived_bursty_completes;
         Alcotest.test_case "derived deterministic" `Quick test_derived_deterministic;
+        Alcotest.test_case "million-client curve pinned" `Quick
+          test_million_client_curve_pinned;
         Alcotest.test_case "derived rejects signatures" `Quick
           test_derived_rejects_sig_auth;
         Alcotest.test_case "group derivations observed" `Quick

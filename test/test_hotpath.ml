@@ -144,6 +144,28 @@ let test_pinned_seed_histories () =
         r.Runner.history_digest)
     golden_histories
 
+(* An f = 2 fuzz sweep, 30 seeds from 42 with 4 clients (what
+   [bftctl fuzz -f 2 --seeds 30 --clients 4] runs): the digest of the
+   seeds' committed-history digests, in seed order, and the view changes
+   the sweep started. The view-change count moves when a batch element's
+   authentication charges its MAC check at a different point (seven
+   replicas make the timing visible; the f = 1 seeds above do not). *)
+let f2_sweep_digest = "06bd12e0dd375da8f85fa251eed4b6ee9d47067f62983dd2f06da61a7914c0f0"
+let f2_sweep_view_changes = 81
+
+let test_f2_sweep_pinned () =
+  let params = { (Runner.default_params ~seed:42 ~f:2) with Runner.clients = 4 } in
+  let digests = Buffer.create 2048 in
+  let outcome =
+    Runner.fuzz params ~seeds:30 ~progress:(fun ~seed:_ r ->
+        Buffer.add_string digests r.Runner.history_digest)
+  in
+  Alcotest.(check int) "no failing seed" 0 (List.length outcome.Runner.failing);
+  Alcotest.(check string) "sweep history digest" f2_sweep_digest
+    (Sha256.hexdigest (Buffer.contents digests));
+  Alcotest.(check int) "sweep view changes" f2_sweep_view_changes
+    outcome.Runner.total_view_changes
+
 let suites =
   [
     ( "hotpath",
@@ -162,5 +184,7 @@ let suites =
           test_hmac_precomputed_bit_identical;
         Alcotest.test_case "pinned fuzz seeds: committed histories unchanged" `Slow
           test_pinned_seed_histories;
+        Alcotest.test_case "f=2 fuzz sweep: history digest and view changes" `Slow
+          test_f2_sweep_pinned;
       ] );
   ]

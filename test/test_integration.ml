@@ -343,6 +343,51 @@ let test_forged_signature_rejected () =
   Alcotest.(check bool) "forged request not executed" true
     (Array.for_all (fun r -> Replica.last_executed r = 0) (Cluster.replicas c))
 
+(* A request whose timestamp is below its client's last executed one is
+   stale: the replica drops it before admission (Section 2.3.2). Replay a
+   client's first request after its second has executed, genuine MACs and
+   all. Neither the primary nor a backup may store it, give it a sequence
+   number, put it in the ordering pipeline or arm the view-change timer
+   for it; execution would dedupe it, so only the replica state shows the
+   difference. *)
+let test_stale_request_dropped () =
+  let cfg, c = make ~service:counter () in
+  let net = Cluster.network c in
+  let client = cfg.Config.n in
+  let first = ref None in
+  Bft_net.Network.set_adversary net (fun ~src ~dst:_ env ->
+      (match env.Message.body with
+      | Message.Request _ when src = client && Option.is_none !first -> first := Some env
+      | _ -> ());
+      `Pass);
+  Alcotest.(check string) "first" "1" (Cluster.invoke_sync c ~client:0 "inc");
+  Bft_net.Network.clear_adversary net;
+  Alcotest.(check string) "second" "2" (Cluster.invoke_sync c ~client:0 "inc");
+  (* let the second request's commits and replies settle everywhere *)
+  ignore (Cluster.run_until ~timeout_us:5_000.0 c (fun () -> false));
+  let snapshot () =
+    Array.map
+      (fun r -> ((Replica.counters r).Replica.n_batches, Replica.state_digest r))
+      (Cluster.replicas c)
+  in
+  let before = snapshot () in
+  let stale = Option.get !first in
+  Bft_net.Network.multicast net ~src:client ~dsts:(Config.replica_ids cfg)
+    ~size:(Wire.envelope_size stale) stale;
+  (* well inside the 30 ms view-change timeout *)
+  ignore (Cluster.run_until ~timeout_us:5_000.0 c (fun () -> false));
+  Array.iteri
+    (fun i (batches, digest) ->
+      let role = if i = 0 then "primary" else Printf.sprintf "backup %d" i in
+      Alcotest.(check int) (role ^ ": no sequence number assigned") (fst before.(i)) batches;
+      (* the state fingerprint covers the stored requests, the primary's
+         queue, the pipeline's queued/assigned/waiting sets and whether the
+         view-change timer is armed *)
+      Alcotest.(check string)
+        (role ^ ": no request stored, no pipeline entry, no timer armed")
+        (snd before.(i)) digest)
+    (snapshot ())
+
 (* --- partitions --- *)
 
 let test_partition_blocks_then_heals () =
@@ -666,6 +711,7 @@ let suites =
           test_byzantine_primary_view_change_linearizable;
         Alcotest.test_case "byzantine client" `Quick test_byzantine_client_partial_auth;
         Alcotest.test_case "forged signature rejected" `Quick test_forged_signature_rejected;
+        Alcotest.test_case "stale request dropped" `Quick test_stale_request_dropped;
         Alcotest.test_case "partition then heal" `Slow test_partition_blocks_then_heals;
       ] );
     ( "integration.load",

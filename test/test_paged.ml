@@ -393,6 +393,68 @@ let test_paged_cluster_view_change () =
     (Cluster.invoke_sync ~timeout_us:30_000_000.0 c ~client:0 "get survived");
   Alcotest.(check bool) "consistent" true (Cluster.committed_histories_consistent c)
 
+(* --- checkpoint cost: pages and bytes digested per checkpoint --- *)
+
+(* A 1 MiB paged KV store (4 KiB pages, branching 16) takes three
+   checkpoints after rewriting a rotating window of 1% or 10% of its keys.
+   The incremental path (drain the dirty set, [Partition_tree.update]) must
+   reach the same root as a flat rebuild from the snapshot string and a
+   copy-on-write [build_pages] over the same pages. The pin is each
+   checkpoint's dirty pages and the bytes each path re-hashed: a change
+   that makes checkpoints digest more than the pages a write touched fails
+   here. *)
+let checkpoint_pins =
+  [
+    (0.01, [ (4, 16384, 16384); (3, 12288, 12288); (4, 16384, 16384) ]);
+    (0.10, [ (27, 110592, 110592); (26, 106496, 106496); (27, 110592, 110592) ]);
+  ]
+
+let test_checkpoint_digest_cost_pinned () =
+  let page_size = 4096 and branching = 16 and vlen = 1024 in
+  let n_keys = 1_048_576 / (vlen + 16) in
+  List.iter
+    (fun (frac, expect) ->
+      let svc = Bft_sm.Kv_service.create ~paged:page_size () in
+      let put i c =
+        let op = Printf.sprintf "put key%06d %s" i (String.make vlen c) in
+        ignore (svc.Bft_sm.Service.execute ~client:0 ~op ~nondet:"")
+      in
+      for i = 0 to n_keys - 1 do
+        put i 'a'
+      done;
+      let pg = Option.get svc.Bft_sm.Service.paged in
+      let pages0 = pg.Bft_sm.Service.pg_pages () in
+      ignore (pg.Bft_sm.Service.pg_drain_dirty ());
+      let incr = ref (Partition_tree.build_pages ~seq:0 ~page_size ~branching pages0) in
+      let flat = ref (Partition_tree.build ~seq:0 ~page_size ~branching (svc.snapshot ())) in
+      let dirty_keys = max 1 (int_of_float (frac *. float_of_int n_keys)) in
+      let got =
+        List.init 3 (fun k ->
+            let seq = k + 1 in
+            let base = seq * dirty_keys mod n_keys in
+            for j = 0 to dirty_keys - 1 do
+              put ((base + j) mod n_keys) (Char.chr (Char.code 'b' + seq))
+            done;
+            let pages = pg.Bft_sm.Service.pg_pages () in
+            let dirty = pg.Bft_sm.Service.pg_drain_dirty () in
+            let cow = Partition_tree.build_pages ~prev:!incr ~seq ~page_size ~branching pages in
+            incr := Partition_tree.update !incr ~seq ~pages ~dirty;
+            flat := Partition_tree.build ~prev:!flat ~seq ~page_size ~branching (svc.snapshot ());
+            let root = Partition_tree.root_digest !incr in
+            Alcotest.(check string) "incremental root = flat root" (Partition_tree.root_digest !flat)
+              root;
+            Alcotest.(check string) "incremental root = CoW root" (Partition_tree.root_digest cow)
+              root;
+            ( List.length dirty,
+              Partition_tree.digested_bytes !incr,
+              Partition_tree.digested_bytes !flat ))
+      in
+      Alcotest.(check (list (triple int int int)))
+        (Printf.sprintf "%.0f%% locality: dirty pages, incremental and flat bytes digested"
+           (frac *. 100.0))
+        expect got)
+    checkpoint_pins
+
 let suites =
   [
     ( "sm.paged_image",
@@ -419,5 +481,7 @@ let suites =
         Alcotest.test_case "paged checkpoints stabilize" `Quick test_paged_cluster_checkpoints;
         Alcotest.test_case "paged state transfer" `Quick test_paged_cluster_state_transfer;
         Alcotest.test_case "paged view change" `Quick test_paged_cluster_view_change;
+        Alcotest.test_case "checkpoint digest cost pinned" `Quick
+          test_checkpoint_digest_cost_pinned;
       ] );
   ]
