@@ -1,19 +1,22 @@
 type auth_mode = Mac_auth | Sig_auth
 
+let max_batch = 16
+let digest_replies_threshold = 32
+let perf_factor = 6.0
+let perf_min_samples = 8
+
 type t = {
   f : int;
   n : int;
   auth_mode : auth_mode;
   checkpoint_interval : int;
   log_size : int;
-  max_batch : int;
   batching : bool;
   adaptive_batch : bool;
   window : int;
   tentative_execution : bool;
   read_only_opt : bool;
   digest_replies : bool;
-  digest_replies_threshold : int;
   separate_tx_threshold : int;
   client_retry_us : float;
   client_retry_max_us : float;
@@ -22,31 +25,27 @@ type t = {
   recovery : bool;
   watchdog_period_us : float;
   key_refresh_us : float;
-  null_exec_cost_us : float;
   debug_no_vc_timer : bool;
   client_quota : int;
   retransmit_budget : int option;
   perf_watchdog : bool;
-  perf_factor : float;
-  perf_min_samples : int;
 }
 
-let make ?(auth_mode = Mac_auth) ?(checkpoint_interval = 128) ?log_size ?(max_batch = 16)
+let make ?(auth_mode = Mac_auth) ?(checkpoint_interval = 128) ?log_size
     ?(batching = true) ?(adaptive_batch = false) ?(window = 16)
     ?(tentative_execution = true) ?(read_only_opt = true)
-    ?(digest_replies = true) ?(digest_replies_threshold = 32) ?(separate_tx_threshold = 255)
+    ?(digest_replies = true) ?(separate_tx_threshold = 255)
     ?(client_retry_us = 20_000.0) ?(client_retry_max_us = 60_000_000.0)
     ?(vc_timeout_us = 50_000.0)
     ?(status_interval_us = 10_000.0) ?(recovery = false)
     ?(watchdog_period_us = 2_000_000.0) ?(key_refresh_us = 500_000.0)
     ?(debug_no_vc_timer = false) ?(client_quota = 64) ?retransmit_budget
-    ?(perf_watchdog = false) ?(perf_factor = 6.0) ?(perf_min_samples = 8) ~f () =
+    ?(perf_watchdog = false) ~f () =
   if f < 1 then invalid_arg "Config.make: f must be >= 1";
   if client_quota < 1 then invalid_arg "Config.make: client_quota must be >= 1";
   (match retransmit_budget with
   | Some b when b < 1 -> invalid_arg "Config.make: retransmit_budget must be >= 1"
   | _ -> ());
-  if perf_factor <= 1.0 then invalid_arg "Config.make: perf_factor must be > 1";
   let log_size = match log_size with Some l -> l | None -> 2 * checkpoint_interval in
   if log_size < checkpoint_interval then
     invalid_arg "Config.make: log_size must be >= checkpoint_interval";
@@ -56,14 +55,12 @@ let make ?(auth_mode = Mac_auth) ?(checkpoint_interval = 128) ?log_size ?(max_ba
     auth_mode;
     checkpoint_interval;
     log_size;
-    max_batch;
     batching;
     adaptive_batch;
     window;
     tentative_execution;
     read_only_opt;
     digest_replies;
-    digest_replies_threshold;
     separate_tx_threshold;
     client_retry_us;
     client_retry_max_us;
@@ -72,13 +69,10 @@ let make ?(auth_mode = Mac_auth) ?(checkpoint_interval = 128) ?log_size ?(max_ba
     recovery;
     watchdog_period_us;
     key_refresh_us;
-    null_exec_cost_us = 2.0;
     debug_no_vc_timer;
     client_quota;
     retransmit_budget;
     perf_watchdog;
-    perf_factor;
-    perf_min_samples;
   }
 
 let primary t ~view = view mod t.n

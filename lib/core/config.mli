@@ -7,13 +7,27 @@ type auth_mode =
   | Mac_auth  (** BFT: authenticators / MACs everywhere (Chapter 3) *)
   | Sig_auth  (** BFT-PK: public-key signatures on all messages (Chapter 2) *)
 
+val max_batch : int
+(** Most requests batched in one pre-prepare. *)
+
+val digest_replies_threshold : int
+(** Results of at most this many bytes are sent in full by every replica,
+    never as a digest (Section 5.1.1). *)
+
+val perf_factor : float
+(** Performance watchdog: slowness threshold multiplier over the observed
+    baseline. *)
+
+val perf_min_samples : int
+(** Performance watchdog: executions observed before the baseline is
+    trusted. *)
+
 type t = {
   f : int;  (** maximum simultaneous faults tolerated *)
   n : int;  (** number of replicas, 3f+1 *)
   auth_mode : auth_mode;
   checkpoint_interval : int;  (** K: checkpoint every K sequence numbers *)
   log_size : int;  (** L: high water mark is [h + L]; typically 2K *)
-  max_batch : int;  (** max requests batched in one pre-prepare *)
   batching : bool;  (** Section 5.1.4; off = one request per instance *)
   adaptive_batch : bool;
       (** Queue-depth-tracking batch sizer at the primary: the batch target
@@ -30,7 +44,6 @@ type t = {
   tentative_execution : bool;  (** Section 5.1.2 *)
   read_only_opt : bool;  (** Section 5.1.3 *)
   digest_replies : bool;  (** Section 5.1.1 *)
-  digest_replies_threshold : int;  (** results below this are sent in full *)
   separate_tx_threshold : int;
       (** requests above this size are multicast by the client and carried
           by digest in pre-prepares (Section 5.1.5) *)
@@ -42,7 +55,6 @@ type t = {
   recovery : bool;  (** BFT-PR proactive recovery (Chapter 4) *)
   watchdog_period_us : float;
   key_refresh_us : float;  (** session-key refresh period *)
-  null_exec_cost_us : float;
   debug_no_vc_timer : bool;
       (** Injected bug for explorer/fuzzer validation: backups never arm
           the view-change timer, so a faulty primary is never displaced —
@@ -70,24 +82,18 @@ type t = {
           when the smoothed latency degrades beyond [perf_factor] times
           the best baseline observed, even though the primary is not
           silent (the slow-primary attack). Off by default. *)
-  perf_factor : float;
-      (** Slowness threshold multiplier over the observed baseline. *)
-  perf_min_samples : int;
-      (** Executions observed before the watchdog baseline is trusted. *)
 }
 
 val make :
   ?auth_mode:auth_mode ->
   ?checkpoint_interval:int ->
   ?log_size:int ->
-  ?max_batch:int ->
   ?batching:bool ->
   ?adaptive_batch:bool ->
   ?window:int ->
   ?tentative_execution:bool ->
   ?read_only_opt:bool ->
   ?digest_replies:bool ->
-  ?digest_replies_threshold:int ->
   ?separate_tx_threshold:int ->
   ?client_retry_us:float ->
   ?client_retry_max_us:float ->
@@ -100,8 +106,6 @@ val make :
   ?client_quota:int ->
   ?retransmit_budget:int ->
   ?perf_watchdog:bool ->
-  ?perf_factor:float ->
-  ?perf_min_samples:int ->
   f:int ->
   unit ->
   t

@@ -48,6 +48,15 @@ let interior_digest_of_acc ~level ~index ~lm acc =
   Buffer.add_string b (Bft_crypto.Adhash.to_string acc);
   Bft_crypto.Sha256.digest (Buffer.contents b)
 
+let parent_info ~level ~index children =
+  let lm = List.fold_left (fun acc (_, clm, _) -> max acc clm) 0 children in
+  let acc =
+    List.fold_left
+      (fun acc (_, _, d) -> Bft_crypto.Adhash.add acc (Bft_crypto.Adhash.of_digest d))
+      Bft_crypto.Adhash.zero children
+  in
+  (lm, interior_digest_of_acc ~level ~index ~lm acc)
+
 let num_interior_levels ~branching ~num_pages =
   (* levels above the page level, at least 1 (the root) *)
   let rec go width acc = if width <= 1 then acc else go ((width + branching - 1) / branching) (acc + 1) in

@@ -80,6 +80,12 @@ val children : t -> level:int -> index:int -> (int * int * digest) list
 (** [(child_index, lm, digest)] list for an interior partition — the
     contents of a META-DATA reply. [level] must be an interior level. *)
 
+val parent_info : level:int -> index:int -> (int * int * digest) list -> int * digest
+(** [(lm, digest)] of the interior node at [(level, index)] whose children
+    are the given [(child_index, lm, digest)] list: what {!node_info}
+    returns for it. The fetching side of state transfer checks a
+    META-DATA reply against the digest it expects with this. *)
+
 val child_range : t -> level:int -> index:int -> int * int
 (** Child index range [(first, last)] of an interior node. *)
 

@@ -15,12 +15,16 @@ type client = { mutable c_slots : slot list; mutable c_live : int }
 type t = {
   slots : (string, slot) Hashtbl.t;
   clients : (int, client) Hashtbl.t;
+  queue : slot Queue.t; (* the queued slots, oldest first *)
   mutable n_waiting : int;
 }
 
-let create () = { slots = Hashtbl.create 16; clients = Hashtbl.create 16; n_waiting = 0 }
+let create () =
+  { slots = Hashtbl.create 16; clients = Hashtbl.create 16; queue = Queue.create (); n_waiting = 0 }
+
 let mem t d = Hashtbl.mem t.slots d
 let waiting_count t = t.n_waiting
+let queued_count t = Queue.length t.queue
 
 let inflight t client =
   match Hashtbl.find_opt t.clients client with Some c -> c.c_live | None -> 0
@@ -87,15 +91,21 @@ let enqueue t d ~client ~ts =
   if s.s_queued || s.s_assigned then false
   else begin
     s.s_queued <- true;
+    Queue.push s t.queue;
     true
   end
 
-let assign t d =
-  match Hashtbl.find_opt t.slots d with
-  | Some s when s.s_queued ->
+let take t k =
+  let rec go k acc =
+    if k <= 0 || Queue.is_empty t.queue then List.rev acc
+    else begin
+      let s = Queue.pop t.queue in
       s.s_queued <- false;
-      s.s_assigned <- true
-  | _ -> ()
+      s.s_assigned <- true;
+      go (k - 1) (s.s_digest :: acc)
+    end
+  in
+  go k []
 
 let unassign t d =
   match Hashtbl.find_opt t.slots d with
@@ -158,6 +168,7 @@ let sweep t f =
 let reset_assigned t = sweep t (fun s -> s.s_assigned <- false)
 
 let crash t =
+  Queue.clear t.queue;
   sweep t (fun s ->
       s.s_queued <- false;
       s.s_waiting <- false;
@@ -168,5 +179,6 @@ let sorted_digests t flag =
   List.sort String.compare
     (Hashtbl.fold (fun d s acc -> if flag s then d :: acc else acc) t.slots [])
 
+let queued_digests t = List.of_seq (Seq.map (fun s -> s.s_digest) (Queue.to_seq t.queue))
 let assigned_digests t = sorted_digests t (fun s -> s.s_assigned)
 let waiting_digests t = sorted_digests t (fun s -> s.s_waiting)

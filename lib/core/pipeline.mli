@@ -1,5 +1,6 @@
 (** The ordering pipeline of one replica: every request digest that is
-    queued at the primary, assigned to a batch and not yet executed, or
+    queued at the primary (in arrival order: the primary's request FIFO,
+    Section 5.1.4), assigned to a batch and not yet executed, or
     awaited from the primary by a backup (the waiting set that drives the
     view-change timer, Section 2.3.5).
 
@@ -23,12 +24,14 @@ val mem : t -> string -> bool
 (** Queued, assigned or waiting. *)
 
 val enqueue : t -> string -> client:int -> ts:int64 -> bool
-(** Mark the digest queued unless it is already queued or assigned;
-    [true] when it was marked. The body must be stored. *)
+(** Append the digest to the queue unless it is already queued or
+    assigned; [true] when it was appended. The body must be stored. *)
 
-val assign : t -> string -> unit
-(** A queued digest joins a batch: queued becomes assigned. A digest that
-    is not queued is left alone. *)
+val take : t -> int -> string list
+(** Pop up to [k] digests off the queue, oldest first, and mark each one
+    assigned: they join the next batch. *)
+
+val queued_count : t -> int
 
 val unassign : t -> string -> unit
 (** The digest's batch executed: clear its assigned flag. *)
@@ -56,11 +59,15 @@ val body_stored : t -> string -> unit
 
 val crash : t -> unit
 (** The replica lost every request body and its queue and waiting set:
-    clear all queued and waiting flags. Assigned digests stay, but count
-    toward no client until [body_stored] reports their body again. *)
+    empty the queue and clear all waiting flags. Assigned digests stay,
+    but count toward no client until [body_stored] reports their body
+    again. *)
 
 val inflight : t -> int -> int
 (** Distinct digests of this client in the pipeline with a stored body. *)
+
+val queued_digests : t -> string list
+(** Oldest first (state fingerprints). *)
 
 val assigned_digests : t -> string list
 val waiting_digests : t -> string list

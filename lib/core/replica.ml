@@ -100,21 +100,14 @@ type t = {
   ckpts : Checkpoint_store.t;
   batches : (string, batch_elem list * string) Hashtbl.t; (* digest -> batch, nondet *)
   requests : (string, stored_request) Hashtbl.t; (* request digest -> body *)
-  (* primary FIFO of requests awaiting assignment: two-list queue so that
-     enqueue is O(1) — the plain-list [q @ [r]] append cost O(n) per arrival
-     and O(n^2) across a deep open-loop backlog. [queue_back] is reversed;
-     FIFO order is [queue_front @ List.rev queue_back]. *)
-  mutable queue_front : request list;
-  mutable queue_back : request list;
-  mutable queue_len : int;
   (* adaptive batch sizer target (Config.adaptive_batch); depends only on
      the queue depths observed at batch-formation points, so it is as
      deterministic as the queue itself *)
   mutable batch_target : int;
-  (* every digest queued, assigned to a batch but not yet executed
-     (retransmissions of an in-flight request must not be assigned a
-     second sequence number), or waiting: the set that drives the vc
-     timer, each with its arrival time. The arrival time feeds the primary
+  (* every digest queued (the primary's FIFO), assigned to a batch but not
+     yet executed (retransmissions of an in-flight request must not be
+     assigned a second sequence number), or waiting: the set that drives the
+     vc timer, each with its arrival time. The arrival time feeds the primary
      performance watchdog only — state digests serialize the digests
      alone, so the clock values never leak into explorer state identity. *)
   pipeline : Pipeline.t;
@@ -247,38 +240,45 @@ let corrupt_auth t auth ~dsts =
   | Auth_mac m when List.exists (wrong_mac_target t) dsts -> Auth_mac (corrupt_mac_tag m)
   | auth -> auth
 
-(* Multicast to all replicas (including self: the paper's replicas process
-   their own protocol messages through the log). The body is encoded once;
-   the single precomputed [envelope_size] covers every destination. *)
-let broadcast t body =
+(* Send [body] to [dst], or multicast it to all replicas when [dst] is
+   absent (including self: the paper's replicas process their own protocol
+   messages through the log). The body is encoded once; [auth] computes
+   the token over those bytes, and the single precomputed [envelope_size]
+   covers every destination. A muted replica neither sends nor pays for
+   the authentication. *)
+let post t ?dst ~auth body =
   if not t.muted then begin
     let enc = Message.no_cache () in
-    let bytes = Wire.cached_encode ~arena:t.arena enc body in
-    let auth =
-      match (t.d.cfg.Config.auth_mode, body) with
-      | _, New_key _ -> sign_bytes t bytes
-      | Config.Sig_auth, _ -> sign_bytes t bytes
-      | Config.Mac_auth, _ -> vector_bytes t ~dsts:(replica_ids t) bytes
-    in
-    let auth = if t.wrong_mac then corrupt_auth t auth ~dsts:(replica_ids t) else auth in
+    let auth = auth (Wire.cached_encode ~arena:t.arena enc body) in
     let env = { sender = t.id; body; auth; enc } in
-    Network.multicast t.d.net ~src:t.id ~dsts:(replica_ids t)
-      ~size:(Wire.envelope_size env) env
+    let size = Wire.envelope_size env in
+    match dst with
+    | Some dst -> Network.send t.d.net ~src:t.id ~dst ~size env
+    | None -> Network.multicast t.d.net ~src:t.id ~dsts:(replica_ids t) ~size env
   end
 
+let broadcast t body =
+  post t body ~auth:(fun bytes ->
+      let dsts = replica_ids t in
+      let auth =
+        match (t.d.cfg.Config.auth_mode, body) with
+        | _, New_key _ -> sign_bytes t bytes
+        | Config.Sig_auth, _ -> sign_bytes t bytes
+        | Config.Mac_auth, _ -> vector_bytes t ~dsts bytes
+      in
+      if t.wrong_mac then corrupt_auth t auth ~dsts else auth)
+
 let send_to t ~dst body =
-  if not t.muted then begin
-    let enc = Message.no_cache () in
-    let bytes = Wire.cached_encode ~arena:t.arena enc body in
-    let auth =
-      match t.d.cfg.Config.auth_mode with
-      | Config.Sig_auth -> sign_bytes t bytes
-      | Config.Mac_auth -> mac_bytes t ~dst bytes
-    in
-    let auth = if t.wrong_mac then corrupt_auth t auth ~dsts:[ dst ] else auth in
-    let env = { sender = t.id; body; auth; enc } in
-    Network.send t.d.net ~src:t.id ~dst ~size:(Wire.envelope_size env) env
-  end
+  post t ~dst body ~auth:(fun bytes ->
+      let auth =
+        match t.d.cfg.Config.auth_mode with
+        | Config.Sig_auth -> sign_bytes t bytes
+        | Config.Mac_auth -> mac_bytes t ~dst bytes
+      in
+      if t.wrong_mac then corrupt_auth t auth ~dsts:[ dst ] else auth)
+
+(* Forward a request under its client's token, intact. *)
+let relay_request t ?dst req token = post t ?dst (Request req) ~auth:(fun _ -> token)
 
 (* Per-peer retransmission budget (see [retx_state]): inert when
    [Config.retransmit_budget] is [None]. *)
@@ -327,14 +327,6 @@ let retx_allow t peer =
 (* Retransmission-class point-to-point send, counted against the
    destination's budget. *)
 let send_retx t ~dst body = if retx_allow t dst then send_to t ~dst body
-
-(* Send with no authentication (DATA replies are verified by digest,
-   Section 5.3.2). *)
-let send_plain t ~dst body =
-  if not t.muted then begin
-    let env = Message.envelope ~sender:t.id ~auth:Auth_none body in
-    Network.send t.d.net ~src:t.id ~dst ~size:(Wire.envelope_size env) env
-  end
 
 let verify_token_bytes t ~claimed bytes token =
   match token with
@@ -481,6 +473,19 @@ let restore_snapshot t s =
               Ok ()
           | exception _ -> reject "service refused snapshot"))
 
+(* Roll the service state and reply cache back to the held checkpoint [s]
+   and resume execution after it; [false] when [s] is not held or its
+   snapshot is refused. Callers adjust [committed_upto] by their own rule. *)
+let restore_checkpoint t s =
+  match Checkpoint_store.tree_at t.ckpts s with
+  | None -> false
+  | Some tree -> (
+      match restore_snapshot t (Partition_tree.snapshot tree) with
+      | Ok () ->
+          t.last_exec <- s;
+          true
+      | Error _ -> false)
+
 (* ------------------------------------------------------------------ *)
 (* Requests and batches                                                *)
 (* ------------------------------------------------------------------ *)
@@ -524,12 +529,10 @@ let store_batch t pp =
 (* ------------------------------------------------------------------ *)
 
 let noop_t (_ : t) = ()
-let try_execute_ref : (t -> unit) ref = ref noop_t
 let process_queue_ref : (t -> unit) ref = ref noop_t
 let start_view_change_ref : (t -> int -> unit) ref = ref (fun _ _ -> ())
 let try_new_view_ref : (t -> unit) ref = ref noop_t
 let process_new_view_ref : (t -> unit) ref = ref noop_t
-let check_transfer_done_ref : (t -> unit) ref = ref noop_t
 let recovery_step_ref : (t -> unit) ref = ref noop_t
 let retry_deferred_pps_ref : (t -> unit) ref = ref noop_t
 
@@ -562,11 +565,7 @@ let relay_waiting t =
       List.iter
         (fun d ->
           match Hashtbl.find_opt t.requests d with
-          | Some sr when retx_allow t dst ->
-              let env =
-                Message.envelope ~sender:t.id ~auth:sr.sr_token (Request sr.sr_req)
-              in
-              Network.send t.d.net ~src:t.id ~dst ~size:(Wire.envelope_size env) env
+          | Some sr when retx_allow t dst -> relay_request t ~dst sr.sr_req sr.sr_token
           | _ -> ())
         (Pipeline.waiting_digests t.pipeline)
   end
@@ -609,12 +608,12 @@ let perf_note_sample t arrival =
       (if t.perf_samples = 0 then sample
        else (0.8 *. t.perf_ewma_us) +. (0.2 *. sample));
     t.perf_samples <- t.perf_samples + 1;
-    if t.perf_samples >= cfg.Config.perf_min_samples then
+    if t.perf_samples >= Config.perf_min_samples then
       if t.perf_baseline_us = 0.0 || t.perf_ewma_us < t.perf_baseline_us then
         t.perf_baseline_us <- t.perf_ewma_us
       else if
         t.active && t.perf_fired_view < t.view
-        && t.perf_ewma_us > cfg.Config.perf_factor *. t.perf_baseline_us
+        && t.perf_ewma_us > Config.perf_factor *. t.perf_baseline_us
       then begin
         t.perf_fired_view <- t.view;
         t.counters.n_slowness_vc <- t.counters.n_slowness_vc + 1;
@@ -751,12 +750,8 @@ let try_stabilize t =
   | Some (seq, _tree) ->
       Log.truncate t.log seq;
       (* drop PSet/QSet information at or below the new low mark *)
-      Hashtbl.iter
-        (fun n _ -> if n <= seq then Hashtbl.remove t.pset n)
-        (Hashtbl.copy t.pset);
-      Hashtbl.iter
-        (fun n _ -> if n <= seq then Hashtbl.remove t.qset n)
-        (Hashtbl.copy t.qset);
+      Hashtbl.filter_map_inplace (fun n e -> if n <= seq then None else Some e) t.pset;
+      Hashtbl.filter_map_inplace (fun n e -> if n <= seq then None else Some e) t.qset;
       L.debug (fun m -> m "replica %d: checkpoint %d stable" t.id seq);
       if Obs.enabled t.obs then Obs.checkpoint_stable t.obs ~now:(now t) ~seq;
       (* recovery completes when the checkpoint at the recovery point is
@@ -777,6 +772,62 @@ let try_stabilize t =
 (* ------------------------------------------------------------------ *)
 
 let allowed_seq t n = n <= t.hm_bound
+
+let send_reply t ~client ~ts ~tentative result =
+  send_to t ~dst:client
+    (Reply
+       {
+         rp_view = t.view;
+         rp_timestamp = ts;
+         rp_client = client;
+         rp_replica = t.id;
+         rp_tentative = tentative;
+         rp_result = result;
+       })
+
+(* Retransmit the cached reply to the client's last executed request. *)
+let resend_last_reply t client ~tentative =
+  match Int_map.find_opt client t.last_reply with
+  | Some (ts, result, _) -> send_reply t ~client ~ts ~tentative (Full result)
+  | None -> ()
+
+(* The full result from the designated replier or for small results, its
+   digest otherwise (Section 5.1.1). *)
+let reply_payload t (req : request) result =
+  if
+    (not t.d.cfg.Config.digest_replies)
+    || req.replier = t.id
+    || String.length result <= Config.digest_replies_threshold
+  then Full result
+  else Result_digest (Wire.result_digest result)
+
+(* Periodic key refresh (Section 4.3.1): replace the keys other replicas
+   use to send to us. Client-shared keys are refreshed by clients; they are
+   only discarded on recovery, when the attacker may know them. *)
+let send_new_key ?(drop_clients = false) t =
+  if drop_clients then Bft_crypto.Keychain.drop_all_in_keys t.d.keychain;
+  t.coproc_counter <- Int64.add t.coproc_counter 1L;
+  let keys =
+    List.filter_map
+      (fun peer ->
+        if peer = t.id then None
+        else Some (peer, Bft_crypto.Keychain.fresh_in_key t.d.keychain t.rng ~peer))
+      (replica_ids t)
+  in
+  broadcast t (New_key { nk_replica = t.id; nk_keys = keys; nk_counter = t.coproc_counter });
+  if drop_clients then begin
+    (* re-key every client we have served: each gets a fresh key to reach
+       us, in a signed point-to-point new-key message *)
+    Seq.iter
+      (fun (client, _) ->
+        t.coproc_counter <- Int64.add t.coproc_counter 1L;
+        let key = Bft_crypto.Keychain.fresh_in_key t.d.keychain t.rng ~peer:client in
+        let body =
+          New_key { nk_replica = t.id; nk_keys = [ (client, key) ]; nk_counter = t.coproc_counter }
+        in
+        post t ~dst:client body ~auth:(sign_bytes t))
+      (Int_map.to_seq_from t.d.cfg.Config.n t.last_reply)
+  end
 
 (* Execute one batch at sequence [n]; [tentative] per Section 5.1.2. *)
 let execute_batch t n ~tentative =
@@ -804,20 +855,7 @@ let execute_batch t n ~tentative =
                     let k = t.d.cfg.Config.checkpoint_interval in
                     t.null_fill_until <-
                       max t.null_fill_until (((n + k - 1) / k * k) + t.d.cfg.Config.log_size);
-                    if req.client <> t.id then begin
-                      t.coproc_counter <- Int64.add t.coproc_counter 1L;
-                      let keys =
-                        List.filter_map
-                          (fun peer ->
-                            if peer = t.id then None
-                            else
-                              Some
-                                (peer, Bft_crypto.Keychain.fresh_in_key t.d.keychain t.rng ~peer))
-                          (replica_ids t)
-                      in
-                      broadcast t
-                        (New_key { nk_replica = t.id; nk_keys = keys; nk_counter = t.coproc_counter })
-                    end;
+                    if req.client <> t.id then send_new_key t;
                     string_of_int n
                   end
                   else if not (t.d.service.Bft_sm.Service.has_access ~client:req.client req.op)
@@ -833,51 +871,21 @@ let execute_batch t n ~tentative =
                 t.last_reply <- Int_map.add req.client (req.timestamp, result, t.view) t.last_reply;
                 clear_waiting t (Wire.request_digest req);
                 purge_superseded t ~client:req.client ~ts:req.timestamp;
-                (* reply: full result from the designated replier or for small
-                   results; digest otherwise (Section 5.1.1) *)
-                let payload =
-                  if
-                    (not t.d.cfg.Config.digest_replies)
-                    || req.replier = t.id
-                    || String.length result <= t.d.cfg.Config.digest_replies_threshold
-                  then Full result
-                  else begin
-                    charge t (Costs.digest_us t.costs (String.length result));
-                    Result_digest (Wire.result_digest result)
-                  end
-                in
+                let payload = reply_payload t req result in
+                (match payload with
+                | Result_digest _ -> charge t (Costs.digest_us t.costs (String.length result))
+                | Full _ -> ());
                 if Obs.enabled t.obs then
                   Obs.reply_sent t.obs ~now:(now t) ~client:req.client ~seq:n
                     ~digest:(Wire.request_digest req) ~tentative;
-                send_to t ~dst:req.client
-                  (Reply
-                     {
-                       rp_view = t.view;
-                       rp_timestamp = req.timestamp;
-                       rp_client = req.client;
-                       rp_replica = t.id;
-                       rp_tentative = tentative;
-                       rp_result = payload;
-                     })
+                send_reply t ~client:req.client ~ts:req.timestamp ~tentative payload
               end
               else begin
                 (* duplicate or superseded assignment: the client is no
                    longer waiting for this request *)
                 clear_waiting t (Wire.request_digest req);
                 if Int64.compare req.timestamp last_t = 0 then
-                match Int_map.find_opt req.client t.last_reply with
-                | Some (ts, result, _) ->
-                    send_to t ~dst:req.client
-                      (Reply
-                         {
-                           rp_view = t.view;
-                           rp_timestamp = ts;
-                           rp_client = req.client;
-                           rp_replica = t.id;
-                           rp_tentative = tentative;
-                           rp_result = Full result;
-                         })
-                | None -> ()
+                  resend_last_reply t req.client ~tentative
               end)
         elems;
       t.batch_journal <- (n, List.rev !wave) :: t.batch_journal;
@@ -911,24 +919,8 @@ let flush_read_only t =
             Bft_sm.Service.invalid
           else t.d.service.Bft_sm.Service.execute ~client:req.client ~op:req.op ~nondet:""
         in
-        let payload =
-          if
-            (not t.d.cfg.Config.digest_replies)
-            || req.replier = t.id
-            || String.length result <= t.d.cfg.Config.digest_replies_threshold
-          then Full result
-          else Result_digest (Wire.result_digest result)
-        in
-        send_to t ~dst:req.client
-          (Reply
-             {
-               rp_view = t.view;
-               rp_timestamp = req.timestamp;
-               rp_client = req.client;
-               rp_replica = t.id;
-               rp_tentative = true;
-               rp_result = payload;
-             }))
+        send_reply t ~client:req.client ~ts:req.timestamp ~tentative:true
+          (reply_payload t req result))
       ros
   end
 
@@ -944,14 +936,17 @@ let update_committed_upto t =
     else continue := false
   done
 
-let try_execute t =
-  update_committed_upto t;
-  (* announce checkpoints whose batches have now committed *)
+(* announce checkpoints whose batches have now committed *)
+let announce_committed_checkpoints t =
   let announce, keep =
     List.partition (fun n -> n <= t.committed_upto) t.pending_ckpt_announce
   in
   t.pending_ckpt_announce <- keep;
-  List.iter (fun n -> announce_checkpoint t n) (List.sort compare announce);
+  List.iter (fun n -> announce_checkpoint t n) (List.sort compare announce)
+
+let try_execute t =
+  update_committed_upto t;
+  announce_committed_checkpoints t;
   let progress = ref true in
   while !progress do
     progress := false;
@@ -982,53 +977,15 @@ let try_execute t =
   update_committed_upto t;
   (* newly committed tentative executions can trigger checkpoint
      announcements *)
-  let announce, keep =
-    List.partition (fun n -> n <= t.committed_upto) t.pending_ckpt_announce
-  in
-  t.pending_ckpt_announce <- keep;
-  List.iter (fun n -> announce_checkpoint t n) (List.sort compare announce);
+  announce_committed_checkpoints t;
   try_stabilize t;
   flush_read_only t;
   (* execution slides the primary's window forward *)
   !process_queue_ref t
 
-let () = try_execute_ref := try_execute
-
 (* ------------------------------------------------------------------ *)
 (* Normal case: primary                                                 *)
 (* ------------------------------------------------------------------ *)
-
-(* Primary request FIFO (two-list queue; see the field comments). *)
-let queue_push t r =
-  t.queue_back <- r :: t.queue_back;
-  t.queue_len <- t.queue_len + 1
-
-let queue_to_list t = t.queue_front @ List.rev t.queue_back
-
-let queue_clear t =
-  t.queue_front <- [];
-  t.queue_back <- [];
-  t.queue_len <- 0
-
-(* Up to [k] requests in FIFO order, removed from the queue. *)
-let queue_take t k =
-  let rec go k acc =
-    if k <= 0 then List.rev acc
-    else
-      match t.queue_front with
-      | r :: tl ->
-          t.queue_front <- tl;
-          t.queue_len <- t.queue_len - 1;
-          go (k - 1) (r :: acc)
-      | [] ->
-          if t.queue_back = [] then List.rev acc
-          else begin
-            t.queue_front <- List.rev t.queue_back;
-            t.queue_back <- [];
-            go k acc
-          end
-  in
-  go k []
 
 (* Sliding-window bound on concurrent protocol instances (Section 5.1.4):
    the primary may run at most [window] instances beyond the last executed
@@ -1038,6 +995,15 @@ let in_send_window t n =
   && n <= t.last_exec + t.d.cfg.Config.window
   && Log.in_window t.log n
 
+let note_preprepared t ~seq batch =
+  if Obs.enabled t.obs then begin
+    Obs.phase t.obs ~now:(now t) Obs.Preprepared ~view:t.view ~seq;
+    let digests =
+      List.map (function Inline (r, _) -> Wire.request_digest r | By_digest d -> d) batch
+    in
+    Obs.batch_assigned t.obs ~now:(now t) ~seq ~digests
+  end
+
 let send_pre_prepare t batch nondet =
   let n = t.seqno + 1 in
   t.seqno <- n;
@@ -1046,15 +1012,7 @@ let send_pre_prepare t batch nondet =
   charge t (Costs.digest_us t.costs (Wire.size (Pre_prepare pp)));
   ignore (Log.accept_pre_prepare t.log ~view:t.view pp d);
   (Log.find t.log n).Log.self_preprepared <- true;
-  if Obs.enabled t.obs then begin
-    Obs.phase t.obs ~now:(now t) Obs.Preprepared ~view:t.view ~seq:n;
-    let digests =
-      List.map
-        (function Inline (r, _) -> Wire.request_digest r | By_digest dd -> dd)
-        batch
-    in
-    Obs.batch_assigned t.obs ~now:(now t) ~seq:n ~digests
-  end;
+  note_preprepared t ~seq:n batch;
   if t.byzantine then begin
     (* equivocation: a conflicting assignment for the same sequence number
        is sent to half the backups *)
@@ -1072,8 +1030,11 @@ let send_pre_prepare t batch nondet =
 
 let process_queue t =
   if is_primary t && t.active && not (is_recovering t && t.seqno >= t.hm_bound) then begin
-    let continue = ref true in
-    while !continue && t.queue_len > 0 && in_send_window t (t.seqno + 1) && allowed_seq t (t.seqno + 1) do
+    while
+      Pipeline.queued_count t.pipeline > 0
+      && in_send_window t (t.seqno + 1)
+      && allowed_seq t (t.seqno + 1)
+    do
       let cfg = t.d.cfg in
       let take =
         if cfg.Config.adaptive_batch then begin
@@ -1083,43 +1044,37 @@ let process_queue t =
              the queue falls short the target decays toward the observed
              depth (latency mode — do not hold requests back waiting for
              a big batch that is not coming) *)
-          let depth = t.queue_len in
+          let depth = Pipeline.queued_count t.pipeline in
           if depth >= t.batch_target then
-            t.batch_target <- min cfg.Config.max_batch (t.batch_target * 2)
+            t.batch_target <- min Config.max_batch (t.batch_target * 2)
           else t.batch_target <- max 1 ((t.batch_target + depth + 1) / 2);
           t.batch_target
         end
-        else if cfg.Config.batching then cfg.Config.max_batch
+        else if cfg.Config.batching then Config.max_batch
         else 1
       in
-      let chosen = queue_take t take in
-      List.iter (fun r -> Pipeline.assign t.pipeline (Wire.request_digest r)) chosen;
-      if chosen = [] then continue := false
-      else begin
-        if Obs.enabled t.obs then Obs.batch_formed t.obs ~len:(List.length chosen);
-        let elems =
-          List.map
-            (fun r ->
-              let d = Wire.request_digest r in
-              if String.length r.op > cfg.Config.separate_tx_threshold then By_digest d
-              else
-                let tok =
-                  match Hashtbl.find_opt t.requests d with
-                  | Some sr -> sr.sr_token
-                  | None -> Auth_none
-                in
-                Inline (r, tok))
-            chosen
-        in
-        (* non-deterministic choice for the batch: virtual wall clock
-           (Section 5.4) *)
-        let nondet = Int64.to_string (now t) in
-        send_pre_prepare t elems nondet
-      end
+      let chosen = Pipeline.take t.pipeline take in
+      if Obs.enabled t.obs then Obs.batch_formed t.obs ~len:(List.length chosen);
+      (* a queued digest's body is stored: both are lost only together, at
+         a crash *)
+      let elems =
+        List.filter_map
+          (fun d ->
+            Hashtbl.find_opt t.requests d
+            |> Option.map (fun sr ->
+                   if String.length sr.sr_req.op > cfg.Config.separate_tx_threshold then
+                     By_digest d
+                   else Inline (sr.sr_req, sr.sr_token)))
+          chosen
+      in
+      (* non-deterministic choice for the batch: virtual wall clock
+         (Section 5.4) *)
+      let nondet = Int64.to_string (now t) in
+      send_pre_prepare t elems nondet
     done;
     (* null-request filler during recoveries *)
     while
-      t.queue_len = 0
+      Pipeline.queued_count t.pipeline = 0
       && Checkpoint_store.stable_seq t.ckpts < t.null_fill_until
       && t.seqno < t.null_fill_until
       && in_send_window t (t.seqno + 1)
@@ -1137,22 +1092,9 @@ let handle_request t (req : request) token ~verified ~relayed =
   charge t (Costs.digest_us t.costs (Wire.size (Request req)));
   let last_t = last_reply_ts t req.client in
   if Int64.compare req.timestamp last_t < 0 then ()
-  else if Int64.compare req.timestamp last_t = 0 then begin
+  else if Int64.compare req.timestamp last_t = 0 then
     (* already executed: retransmit cached reply *)
-    match Int_map.find_opt req.client t.last_reply with
-    | Some (ts, result, _) ->
-        send_to t ~dst:req.client
-          (Reply
-             {
-               rp_view = t.view;
-               rp_timestamp = ts;
-               rp_client = req.client;
-               rp_replica = t.id;
-               rp_tentative = false;
-               rp_result = Full result;
-             })
-    | None -> ()
-  end
+    resend_last_reply t req.client ~tentative:false
   else if
     (* Per-client in-flight quota: a new request (retransmissions of a
        request already in the pipeline always pass) beyond the quota is
@@ -1180,20 +1122,12 @@ let handle_request t (req : request) token ~verified ~relayed =
     end
     else if is_primary t then begin
       if verified && Pipeline.enqueue t.pipeline d ~client:req.client ~ts:req.timestamp
-      then begin
-        queue_push t req;
-        process_queue t
-      end
+      then process_queue t
     end
     else begin
       note_waiting t d req;
-      if not relayed then
-        (* relay to the primary with the client's token intact *)
-        if not t.muted then begin
-          let env = Message.envelope ~sender:t.id ~auth:token (Request req) in
-          Network.send t.d.net ~src:t.id ~dst:(primary t)
-            ~size:(Wire.envelope_size env) env
-        end
+      (* relay to the primary with the client's token intact *)
+      if not relayed then relay_request t ~dst:(primary t) req token
     end
   end
 
@@ -1293,15 +1227,7 @@ let accept_pre_prepare t (pp : pre_prepare) =
       if authentic && have_bodies then begin
         ignore (store_batch t pp);
         if Log.accept_pre_prepare t.log ~view:v pp d then begin
-          if Obs.enabled t.obs then begin
-            Obs.phase t.obs ~now:(now t) Obs.Preprepared ~view:v ~seq:n;
-            let digests =
-              List.map
-                (function Inline (r, _) -> Wire.request_digest r | By_digest dd -> dd)
-                pp.pp_batch
-            in
-            Obs.batch_assigned t.obs ~now:(now t) ~seq:n ~digests
-          end;
+          note_preprepared t ~seq:n pp.pp_batch;
           List.iter
             (fun e ->
               match resolve_elem t e with
@@ -1432,15 +1358,8 @@ let start_view_change t new_view =
         List.filter (fun (s, _) -> s <= t.committed_upto) (Checkpoint_store.held t.ckpts)
       in
       match List.rev candidates with
-      | (s, _) :: _ -> (
-          match Checkpoint_store.tree_at t.ckpts s with
-          | Some tree -> (
-              match restore_snapshot t (Partition_tree.snapshot tree) with
-              | Ok () ->
-                  t.last_exec <- s;
-                  t.committed_upto <- min t.committed_upto s
-              | Error _ -> ())
-          | None -> ())
+      | (s, _) :: _ ->
+          if restore_checkpoint t s then t.committed_upto <- min t.committed_upto s
       | [] -> ()
     end;
     broadcast t (View_change vc);
@@ -1651,19 +1570,12 @@ let handle_fetch t (f : fetch) =
       if f.ft_level >= page_level then begin
         if f.ft_index < Partition_tree.num_pages tree && f.ft_replier = t.id then begin
           let p = Partition_tree.page tree f.ft_index in
-          send_plain t ~dst:f.ft_replica
+          (* no authentication: DATA is verified by digest (Section 5.3.2) *)
+          post t ~dst:f.ft_replica ~auth:(fun _ -> Auth_none)
             (Data { dt_index = f.ft_index; dt_lm = p.Partition_tree.lm; dt_page = p.Partition_tree.data })
         end
       end
       else if f.ft_replier = t.id || Partition_tree.seq tree > max f.ft_lc f.ft_rc then begin
-        let width =
-          if f.ft_level = 0 then 1
-          else
-            (* interior width is derivable from children of parents; accept
-               index if within the level *)
-            max_int
-        in
-        ignore width;
         match Partition_tree.children tree ~level:f.ft_level ~index:f.ft_index with
         | children ->
             send_to t ~dst:f.ft_replica
@@ -1766,8 +1678,6 @@ let check_transfer_done t =
         end
       end
 
-let () = check_transfer_done_ref := check_transfer_done
-
 let handle_meta_data t (m : meta_data) =
   match t.transfer with
   | None -> ()
@@ -1776,27 +1686,10 @@ let handle_meta_data t (m : meta_data) =
       | None -> ()
       | Some (exp_lm, exp_digest) ->
           (* verify: recompute the parent digest from the children *)
-          let lm = List.fold_left (fun acc (_, lm, _) -> max acc lm) 0 m.md_subparts in
-          let child_digests = List.map (fun (_, _, d) -> d) m.md_subparts in
-          let recomputed =
-            (* same construction as Partition_tree's interior digest *)
-            let acc =
-              List.fold_left
-                (fun acc d -> Bft_crypto.Adhash.add acc (Bft_crypto.Adhash.of_digest d))
-                Bft_crypto.Adhash.zero child_digests
-            in
-            let b = Buffer.create 64 in
-            Buffer.add_string b "META";
-            Buffer.add_string b (string_of_int m.md_level);
-            Buffer.add_char b ':';
-            Buffer.add_string b (string_of_int m.md_index);
-            Buffer.add_char b ':';
-            Buffer.add_string b (string_of_int lm);
-            Buffer.add_char b ':';
-            Buffer.add_string b (Bft_crypto.Adhash.to_string acc);
-            Bft_crypto.Sha256.digest (Buffer.contents b)
+          let lm, recomputed =
+            Partition_tree.parent_info ~level:m.md_level ~index:m.md_index m.md_subparts
           in
-          charge t (Costs.digest_us t.costs (32 * List.length child_digests));
+          charge t (Costs.digest_us t.costs (32 * List.length m.md_subparts));
           if lm = exp_lm && String.equal recomputed exp_digest then begin
             Hashtbl.remove tx.tx_pending (m.md_level, m.md_index);
             t.counters.bytes_fetched <-
@@ -1922,7 +1815,7 @@ let enter_new_view t (nv : new_view) =
   stop_vc_timer t;
   (* prune view-change state for views before this one *)
   let prune_tbl tbl keep =
-    Hashtbl.iter (fun k _ -> if not (keep k) then Hashtbl.remove tbl k) (Hashtbl.copy tbl)
+    Hashtbl.filter_map_inplace (fun k x -> if keep k then Some x else None) tbl
   in
   prune_tbl t.vcs (fun (v', _) -> v' >= v);
   prune_tbl t.acks (fun (v', _) -> v' >= v);
@@ -1939,39 +1832,13 @@ let enter_new_view t (nv : new_view) =
         (Checkpoint_store.held t.ckpts)
     in
     match List.rev candidates with
-    | (s, _) :: _ -> (
-        match Checkpoint_store.tree_at t.ckpts s with
-        | Some tree -> (
-            match restore_snapshot t (Partition_tree.snapshot tree) with
-            | Ok () ->
-                t.last_exec <- s;
-                t.committed_upto <- s
-            | Error _ -> ())
-        | None -> ())
-    | [] ->
-        if have_start then begin
-          match Checkpoint_store.tree_at t.ckpts nv.nv_start with
-          | Some tree -> (
-              match restore_snapshot t (Partition_tree.snapshot tree) with
-              | Ok () ->
-                  t.last_exec <- nv.nv_start;
-                  t.committed_upto <- nv.nv_start
-              | Error _ -> ())
-          | None -> ()
-        end
+    | (s, _) :: _ -> if restore_checkpoint t s then t.committed_upto <- s
+    | [] -> if restore_checkpoint t nv.nv_start then t.committed_upto <- nv.nv_start
   end;
   if (not have_start) && t.last_exec < nv.nv_start then
     start_transfer t ~target:nv.nv_start ~root_digest:nv.nv_start_digest;
-  if t.last_exec < nv.nv_start && have_start then begin
-    (match Checkpoint_store.tree_at t.ckpts nv.nv_start with
-    | Some tree -> (
-        match restore_snapshot t (Partition_tree.snapshot tree) with
-        | Ok () ->
-            t.last_exec <- nv.nv_start;
-            t.committed_upto <- max t.committed_upto nv.nv_start
-        | Error _ -> ())
-    | None -> ())
-  end;
+  if t.last_exec < nv.nv_start && restore_checkpoint t nv.nv_start then
+    t.committed_upto <- max t.committed_upto nv.nv_start;
   if Log.low_mark t.log < nv.nv_start then Log.truncate t.log nv.nv_start;
   (* install the chosen pre-prepares and (as a backup) send prepares *)
   let am_primary = primary_of t v = t.id in
@@ -2236,39 +2103,6 @@ let handle_status_pending t (s : status_pending) =
 (* Proactive recovery (Chapter 4)                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Periodic key refresh (Section 4.3.1): replace the keys other replicas
-   use to send to us. Client-shared keys are refreshed by clients; they are
-   only discarded on recovery, when the attacker may know them. *)
-let send_new_key ?(drop_clients = false) t =
-  if drop_clients then Bft_crypto.Keychain.drop_all_in_keys t.d.keychain;
-  t.coproc_counter <- Int64.add t.coproc_counter 1L;
-  let keys =
-    List.filter_map
-      (fun peer ->
-        if peer = t.id then None
-        else Some (peer, Bft_crypto.Keychain.fresh_in_key t.d.keychain t.rng ~peer))
-      (replica_ids t)
-  in
-  broadcast t (New_key { nk_replica = t.id; nk_keys = keys; nk_counter = t.coproc_counter });
-  if drop_clients then begin
-    (* re-key every client we have served: each gets a fresh key to reach
-       us, in a signed point-to-point new-key message *)
-    Seq.iter
-      (fun (client, _) ->
-        t.coproc_counter <- Int64.add t.coproc_counter 1L;
-        let key = Bft_crypto.Keychain.fresh_in_key t.d.keychain t.rng ~peer:client in
-        let body =
-          New_key { nk_replica = t.id; nk_keys = [ (client, key) ]; nk_counter = t.coproc_counter }
-        in
-        if not t.muted then begin
-          let enc = Message.no_cache () in
-          let auth = sign_bytes t (Wire.cached_encode enc body) in
-          let env = { sender = t.id; body; auth; enc } in
-          Network.send t.d.net ~src:t.id ~dst:client ~size:(Wire.envelope_size env) env
-        end)
-      (Int_map.to_seq_from t.d.cfg.Config.n t.last_reply)
-  end
-
 let handle_new_key t (nk : new_key) =
   if nk.nk_replica <> t.id then begin
     match List.assoc_opt t.id nk.nk_keys with
@@ -2325,19 +2159,10 @@ let try_finish_estimation t =
               replier = t.id;
             }
           in
-          let enc = Message.no_cache () in
-          let token =
-            Auth_sig
-              (Bft_crypto.Signature.sign t.d.signer (Wire.cached_encode enc (Request req)))
-          in
-          charge t t.costs.Costs.sig_gen_us;
+          let token = sign_bytes t (Wire.encode (Request req)) in
           ignore (store_request t req token true);
           rc.rc_request <- Some req;
-          if not t.muted then begin
-            let env = { sender = t.id; body = Request req; auth = token; enc } in
-            Network.multicast t.d.net ~src:t.id ~dsts:(replica_ids t)
-              ~size:(Wire.envelope_size env) env
-          end
+          relay_request t req token
       | [] -> ())
   | _ -> ()
 
@@ -2354,11 +2179,8 @@ let rec recovery_tick t =
           match rc.rc_request with
           | Some req -> (
               match Hashtbl.find_opt t.requests (Wire.request_digest req) with
-              | Some sr when not t.muted ->
-                  let env = Message.envelope ~sender:t.id ~auth:sr.sr_token (Request req) in
-                  Network.multicast t.d.net ~src:t.id ~dsts:(replica_ids t)
-                    ~size:(Wire.envelope_size env) env
-              | _ -> ())
+              | Some sr -> relay_request t req sr.sr_token
+              | None -> ())
           | None -> ())
       | `Fetching -> !recovery_step_ref t);
       ignore (timer t "rec" 50_000.0 (fun () -> recovery_tick t))
@@ -2474,8 +2296,8 @@ let handle_batch_data t (bd : batch_data) =
         | Inline (r, tok) -> ignore (store_request t r tok false)
         | By_digest _ -> ())
       bd.bd_batch;
-    !retry_deferred_pps_ref t;
-    !try_new_view_ref t;
+    retry_deferred_pps t;
+    try_new_view t;
     process_new_view t;
     try_execute t
   end
@@ -2484,10 +2306,8 @@ let handle_fetch_request t (f : fetch_request) =
   if f.fr_replica <> t.id then
     match Hashtbl.find_opt t.requests f.fr_digest with
     | Some sr ->
-        if (not t.muted) && retx_allow t f.fr_replica then begin
-          let env = Message.envelope ~sender:t.id ~auth:sr.sr_token (Request sr.sr_req) in
-          Network.send t.d.net ~src:t.id ~dst:f.fr_replica ~size:(Wire.envelope_size env) env
-        end
+        (* a muted replica spends no retransmission budget *)
+        if (not t.muted) && retx_allow t f.fr_replica then relay_request t ~dst:f.fr_replica sr.sr_req sr.sr_token
     | None -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -2591,9 +2411,6 @@ let create ?(obs = Obs.null) d ~id =
       ckpts = Checkpoint_store.create d.cfg ~page_size:d.page_size ~branching:d.branching;
       batches = Hashtbl.create 64;
       requests = Hashtbl.create 64;
-      queue_front = [];
-      queue_back = [];
-      queue_len = 0;
       batch_target = 1;
       pipeline = Pipeline.create ();
       last_reply = Int_map.empty;
@@ -2707,7 +2524,6 @@ let crash_reboot t =
   Log.clear_entries t.log;
   Hashtbl.reset t.batches;
   Hashtbl.reset t.requests;
-  queue_clear t;
   t.batch_target <- 1;
   Pipeline.crash t.pipeline;
   t.deferred_pps <- [];
@@ -2789,7 +2605,7 @@ let state_digest t =
   add "|bat:";
   List.iter (fun d -> add "%s;" (hexd d)) (sorted_string_keys t.batches);
   add "|queue:";
-  List.iter (fun r -> add "%s;" (hexd (Wire.request_digest r))) (queue_to_list t);
+  List.iter (fun d -> add "%s;" (hexd d)) (Pipeline.queued_digests t.pipeline);
   add "|assigned:";
   List.iter (fun d -> add "%s;" (hexd d)) (Pipeline.assigned_digests t.pipeline);
   add "|waiting:";

@@ -150,7 +150,7 @@ let latency_us ~costs ~cfg (w : workload) =
       exec
       +. (if
             cfg.Config.digest_replies
-            && w.result_size > cfg.Config.digest_replies_threshold
+            && w.result_size > Config.digest_replies_threshold
           then Costs.digest_us costs w.result_size
           else 0.0)
       +. gen_mac_us ~costs ~cfg +. hop ~costs full_reply

@@ -100,15 +100,26 @@ let test_large_result_digest_replies () =
   Alcotest.(check int) "full result recovered from designated replier" 8192 (String.length r)
 
 let test_digest_replies_save_bytes () =
-  let run digest_replies =
+  let run ?(res = 8192) digest_replies =
     let _, c = make ~digest_replies () in
-    ignore (Cluster.invoke_sync c ~client:0 (null_op ~res:8192 ()));
+    ignore (Cluster.invoke_sync c ~client:0 (null_op ~res ()));
     (Bft_net.Network.stats (Cluster.network c)).Bft_net.Network.bytes_sent
   in
   let with_opt = run true and without = run false in
   Alcotest.(check bool)
     (Printf.sprintf "digest replies send fewer bytes (%d < %d)" with_opt without)
-    true (with_opt < without)
+    true (with_opt < without);
+  (* results of up to 32 bytes go out in full from every replica, so the
+     option changes neither bytes nor latency (a digest would cost its
+     computation); one byte more and the non-designated replicas send a
+     digest *)
+  let latency digest_replies =
+    let _, c = make ~digest_replies () in
+    snd (Cluster.invoke_sync_latency c ~client:0 (null_op ~res:32 ()))
+  in
+  Alcotest.(check int) "32-byte result: same bytes" (run ~res:32 false) (run ~res:32 true);
+  Alcotest.(check (float 0.0)) "32-byte result: same latency" (latency false) (latency true);
+  Alcotest.(check bool) "33-byte result digested" true (run ~res:33 false <> run ~res:33 true)
 
 let test_read_only_sees_committed_writes () =
   let _, c = make ~service:kv () in

@@ -71,8 +71,6 @@ let test_children_consistent_with_node_info () =
   let t = build (String.make 300 'q') in
   (* walk every interior level and recheck children lists *)
   for level = 0 to Partition_tree.depth t - 2 do
-    let width = if level = 0 then 1 else List.length (Partition_tree.children t ~level:(level - 1) ~index:0) in
-    ignore width;
     let children = Partition_tree.children t ~level ~index:0 in
     Alcotest.(check bool) (Printf.sprintf "level %d nonempty" level) true (children <> []);
     List.iter
@@ -81,6 +79,43 @@ let test_children_consistent_with_node_info () =
         Alcotest.(check int) "lm matches" lm lm';
         Alcotest.(check bool) "digest matches" true (String.equal d d'))
       children
+  done;
+  (* at every interior node of random trees with mixed lm, the parent
+     rebuilt from the META-DATA children list is the node itself, and
+     flipping one child's digest, or raising one child's lm above the
+     parent's, changes it *)
+  let st = Random.State.make [| 17 |] in
+  for _ = 1 to 12 do
+    let branching = 2 + Random.State.int st 15 in
+    let mk n = String.init n (fun _ -> Char.chr (Random.State.int st 256)) in
+    let t1 = build ~seq:1 ~page_size:8 ~branching (mk (1 + Random.State.int st 600)) in
+    let s2 = Bytes.of_string (Partition_tree.snapshot t1) in
+    for _ = 1 to 3 do
+      Bytes.set s2 (Random.State.int st (Bytes.length s2)) 'x'
+    done;
+    let t = build ~prev:t1 ~seq:2 ~page_size:8 ~branching (Bytes.to_string s2) in
+    for level = 0 to Partition_tree.depth t - 2 do
+      for index = 0 to Partition_tree.level_width t level - 1 do
+        let children = Partition_tree.children t ~level ~index in
+        let lm, d = Partition_tree.node_info t ~level ~index in
+        let lm', d' = Partition_tree.parent_info ~level ~index children in
+        let where = Printf.sprintf "b=%d (%d,%d)" branching level index in
+        Alcotest.(check int) (where ^ " lm") lm lm';
+        Alcotest.(check bool) (where ^ " digest") true (String.equal d d');
+        let k = Random.State.int st (List.length children) in
+        let flip f = List.mapi (fun j c -> if j = k then f c else c) children in
+        let flipped_digest =
+          flip (fun (i, clm, cd) ->
+              (i, clm, String.mapi (fun j c -> if j = 0 then Char.chr (Char.code c lxor 1) else c) cd))
+        in
+        let raised_lm = flip (fun (i, _, cd) -> (i, lm + 1, cd)) in
+        List.iter
+          (fun (what, cs) ->
+            Alcotest.(check bool) (where ^ " " ^ what) false
+              (Partition_tree.parent_info ~level ~index cs = (lm, d)))
+          [ ("digest flipped", flipped_digest); ("lm raised", raised_lm) ]
+      done
+    done
   done
 
 let test_rebuild_page_matches () =

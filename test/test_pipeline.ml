@@ -1,9 +1,9 @@
 (* The replica's ordering pipeline against a reference model of the three
-   tables it replaced (queued, assigned, waiting), the full-table scan that
-   counted a client's in-flight requests and the fold that purged
-   superseded waiting requests. Operations follow the replica's call
-   discipline: a body is stored before a digest is enqueued or noted
-   waiting, and only queued digests are assigned. *)
+   tables it replaced (queued, assigned, waiting), the primary's request
+   FIFO (a plain list), the full-table scan that counted a client's
+   in-flight requests and the fold that purged superseded waiting
+   requests. Operations follow the replica's call discipline: a body is
+   stored before a digest is enqueued or noted waiting. *)
 
 open Bft_core
 
@@ -17,6 +17,7 @@ module Model = struct
   type t = {
     requests : (string, int * int64) Hashtbl.t; (* stored bodies *)
     queued : (string, unit) Hashtbl.t;
+    mutable fifo : string list; (* the queued digests, oldest first *)
     assigned : (string, unit) Hashtbl.t;
     waiting : (string, int64) Hashtbl.t;
   }
@@ -25,6 +26,7 @@ module Model = struct
     {
       requests = Hashtbl.create 16;
       queued = Hashtbl.create 16;
+      fifo = [];
       assigned = Hashtbl.create 16;
       waiting = Hashtbl.create 16;
     }
@@ -63,7 +65,7 @@ end
 type op =
   | Store of int (* body stored, nothing else *)
   | Enqueue of int (* primary admits: store, then queue *)
-  | Assign of int
+  | Take of int (* the primary forms a batch of up to k queued digests *)
   | Execute of int (* the batch holding it executed: assigned cleared *)
   | Note_waiting of int (* backup admits: store, then wait *)
   | Clear_waiting of int
@@ -74,7 +76,7 @@ type op =
 let show_op = function
   | Store i -> Printf.sprintf "store %d" i
   | Enqueue i -> Printf.sprintf "enqueue %d" i
-  | Assign i -> Printf.sprintf "assign %d" i
+  | Take k -> Printf.sprintf "take %d" k
   | Execute i -> Printf.sprintf "execute %d" i
   | Note_waiting i -> Printf.sprintf "wait %d" i
   | Clear_waiting i -> Printf.sprintf "unwait %d" i
@@ -89,7 +91,7 @@ let gen_op =
     [
       (2, map (fun i -> Store i) d);
       (4, map (fun i -> Enqueue i) d);
-      (4, map (fun i -> Assign i) d);
+      (4, map (fun k -> Take k) (int_range 0 4));
       (3, map (fun i -> Execute i) d);
       (4, map (fun i -> Note_waiting i) d);
       (2, map (fun i -> Clear_waiting i) d);
@@ -116,16 +118,23 @@ let apply p m now op =
       store p m i;
       let d = digest i in
       let expect = not (Hashtbl.mem m.Model.queued d || Hashtbl.mem m.Model.assigned d) in
-      if expect then Hashtbl.replace m.Model.queued d ();
-      Bool.equal (Pipeline.enqueue p d ~client:(client_of i) ~ts:(ts_of i)) expect
-  | Assign i ->
-      let d = digest i in
-      if Hashtbl.mem m.Model.queued d then begin
-        Hashtbl.remove m.Model.queued d;
-        Hashtbl.replace m.Model.assigned d ();
-        Pipeline.assign p d
+      if expect then begin
+        Hashtbl.replace m.Model.queued d ();
+        m.Model.fifo <- m.Model.fifo @ [ d ]
       end;
-      true
+      Bool.equal (Pipeline.enqueue p d ~client:(client_of i) ~ts:(ts_of i)) expect
+  | Take k ->
+      let got = Pipeline.take p k in
+      let expect = List.filteri (fun j _ -> j < k) m.Model.fifo in
+      (* a digest still assigned is never handed out again *)
+      let fresh = List.for_all (fun d -> not (Hashtbl.mem m.Model.assigned d)) got in
+      m.Model.fifo <- List.filteri (fun j _ -> j >= k) m.Model.fifo;
+      List.iter
+        (fun d ->
+          Hashtbl.remove m.Model.queued d;
+          Hashtbl.replace m.Model.assigned d ())
+        expect;
+      fresh && List.equal String.equal got expect
   | Execute i ->
       let d = digest i in
       Hashtbl.remove m.Model.assigned d;
@@ -159,6 +168,7 @@ let apply p m now op =
   | Crash ->
       Hashtbl.reset m.Model.requests;
       Hashtbl.reset m.Model.queued;
+      m.Model.fifo <- [];
       Hashtbl.reset m.Model.waiting;
       Pipeline.crash p;
       true
@@ -169,6 +179,8 @@ let agrees p m =
        (fun i -> Bool.equal (Pipeline.mem p (digest i)) (Model.mem m (digest i)))
        (List.init universe Fun.id)
   && Pipeline.waiting_count p = Hashtbl.length m.Model.waiting
+  && Pipeline.queued_count p = List.length m.Model.fifo
+  && List.equal String.equal (Pipeline.queued_digests p) m.Model.fifo
   && List.equal String.equal (Pipeline.assigned_digests p) (Model.sorted m.Model.assigned)
   && List.equal String.equal (Pipeline.waiting_digests p) (Model.sorted m.Model.waiting)
 
@@ -185,7 +197,7 @@ let prop_model =
 (* an assignment outlives its body across a crash: it stays in the
    pipeline but counts for nobody until the body is stored again *)
 let test_assigned_outlives_body () =
-  let ops = [ Enqueue 0; Enqueue 3; Assign 0; Note_waiting 6; Crash ] in
+  let ops = [ Enqueue 0; Enqueue 3; Take 1; Note_waiting 6; Crash ] in
   let p = Pipeline.create () and m = Model.create () in
   List.iteri (fun k op -> assert (apply p m (Int64.of_int k) op)) ops;
   Alcotest.(check bool) "still assigned" true (Pipeline.mem p (digest 0));
